@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet hogvet simvet certify certify-tier lint bench bench-compare examples experiments tenants tiering verify golden trace chaos fuzz clean
+.PHONY: all build test vet hogvet simvet certify lint bench bench-compare examples experiments tenants tiering verify golden trace chaos fuzz clean
 
 build:
 	go build ./...
@@ -28,41 +28,20 @@ hogvet: build
 simvet: build
 	go run ./cmd/simvet ./...
 
-# hogflow residency certificates: every benchmark's report must match
-# its golden listing, and the listing must not depend on the campaign
-# worker count.
+# hogflow residency certificates: every benchmark's report (one
+# section per DRAM:far ratio) must match its golden listing byte for
+# byte, and the listing must not depend on the campaign worker count.
 certify: build
 	@for b in `go run ./cmd/memhog list`; do \
 		echo "memhog certify $$b"; \
-		go run ./cmd/memhog certify $$b > /tmp/memhog-cert-got.txt; \
-		{ echo "==== $$b ===="; cat internal/footprint/testdata/$$b.cert.golden; echo; } \
-			| diff -u - /tmp/memhog-cert-got.txt || exit 1; \
+		go run ./cmd/memhog certify $$b | diff -u internal/footprint/testdata/$$b.cert.golden - || exit 1; \
 	done
 	@go run ./cmd/memhog -j 1 certify > /tmp/memhog-cert-j1.txt
 	@go run ./cmd/memhog -j 8 certify > /tmp/memhog-cert-j8.txt
 	@cmp /tmp/memhog-cert-j1.txt /tmp/memhog-cert-j8.txt
 	@echo "certify: six goldens match, worker-count independent"
 
-# Two-tier residency certificates: every benchmark's `certify -far`
-# report must match its per-ratio golden listings, and the listing
-# must not depend on the campaign worker count.
-certify-tier: build
-	@for b in `go run ./cmd/memhog list`; do \
-		echo "memhog certify -far $$b"; \
-		go run ./cmd/memhog certify -far $$b > /tmp/memhog-tiercert-got.txt; \
-		for r in 1:0 3:1 1:1 1:3; do \
-			f=`echo $$r | tr : -`; \
-			echo "==== $$b @ $$r ===="; \
-			cat internal/footprint/testdata/$$b.tier$$f.cert.golden; \
-			echo; \
-		done | diff -u - /tmp/memhog-tiercert-got.txt || exit 1; \
-	done
-	@go run ./cmd/memhog -j 1 certify -far > /tmp/memhog-tiercert-j1.txt
-	@go run ./cmd/memhog -j 8 certify -far > /tmp/memhog-tiercert-j8.txt
-	@cmp /tmp/memhog-tiercert-j1.txt /tmp/memhog-tiercert-j8.txt
-	@echo "certify-tier: 24 tier goldens match, worker-count independent"
-
-lint: build vet hogvet simvet certify certify-tier
+lint: build vet hogvet simvet certify
 
 test: build vet
 	go test ./...
@@ -137,12 +116,16 @@ trace: build
 
 # Fault injection: the chaos property harness and the quick chaos
 # matrix (benchmarks × versions × fault classes, continuously audited)
-# under the race detector, plus a byte-identical replay check.
+# under the race detector, plus byte-identical replay checks of one
+# default-plan run and one explicit multi-class plan.
 chaos: build
 	go test -race -run 'TestChaos|TestMetamorphic' ./internal/chaostest/ ./internal/experiments/
 	@go run ./cmd/memhog -quick -quiet -json chaos matvec B -seed 7 > /tmp/memhog-chaos-a.json
 	@go run ./cmd/memhog -quick -quiet -json chaos matvec B -seed 7 > /tmp/memhog-chaos-b.json
 	@cmp /tmp/memhog-chaos-a.json /tmp/memhog-chaos-b.json
+	@go run ./cmd/memhog -quick -quiet -json chaos mgrid R -seed 42 -faults "releaser-stall:p=0.1,mag=5ms;disk-error:p=0.02" > /tmp/memhog-chaos-c.json
+	@go run ./cmd/memhog -quick -quiet -json chaos mgrid R -seed 42 -faults "releaser-stall:p=0.1,mag=5ms;disk-error:p=0.02" > /tmp/memhog-chaos-d.json
+	@cmp /tmp/memhog-chaos-c.json /tmp/memhog-chaos-d.json
 	@echo "chaos: replay deterministic"
 
 # Short fuzz sessions over the language front end and the chaos plan

@@ -15,7 +15,6 @@ import (
 
 	"memhogs/internal/compiler"
 	"memhogs/internal/experiments"
-	"memhogs/internal/footprint"
 	"memhogs/internal/hogvet"
 	"memhogs/internal/kernel"
 	"memhogs/internal/lang"
@@ -39,7 +38,6 @@ func families() []family {
 		{"certfixtures", genCertFixtures},
 		{"certificates", genCertificates},
 		{"tierfixtures", genTierFixtures},
-		{"tiercertificates", genTierCertificates},
 	}
 }
 
@@ -136,22 +134,19 @@ func genCertFixtures(root string, tgt compiler.Target) (map[string]string, error
 	return out, nil
 }
 
-func genCertificates(_ string, tgt compiler.Target) (map[string]string, error) {
-	full := tgt
-	full.Prefetch = true
-	full.Release = true
+// genCertificates regenerates the hogflow residency certificates:
+// each benchmark's file holds exactly what `memhog certify <bench>`
+// prints on the paper-scale machine, one section per DRAM:far ratio
+// of the tiering campaign (the 1:0 section certifies the single-tier
+// world). `make certify` diffs the command against these listings.
+func genCertificates(_ string, _ compiler.Target) (map[string]string, error) {
 	out := map[string]string{}
 	for _, s := range workload.All() {
-		prog := s.Program(nil)
-		c, err := compiler.Compile(prog, full)
+		listing, err := experiments.CertifyListing(s, kernel.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		certs := map[footprint.Version]*footprint.Certificate{}
-		for _, v := range footprint.Versions() {
-			certs[v] = footprint.Certify(prog, full, c.Hints(), v, footprint.Opts{Params: s.Params})
-		}
-		out["internal/footprint/testdata/"+s.Name+".cert.golden"] = footprint.Report(certs)
+		out["internal/footprint/testdata/"+s.Name+".cert.golden"] = listing
 	}
 	return out, nil
 }
@@ -185,40 +180,6 @@ func genTierFixtures(root string, tgt compiler.Target) (map[string]string, error
 		}
 		ds := hogvet.VetParamsFar(c, nil, tierFixtureFarPages, tierFixtureMinPrio)
 		out["internal/hogvet/testdata/"+name+".golden"] = ds.String()
-	}
-	return out, nil
-}
-
-// genTierCertificates regenerates the two-tier residency certificates
-// for every benchmark at every DRAM:far ratio of the tiering
-// campaign: the paper-scale memory budget is split by the ratio, the
-// schedule recompiles against the DRAM share, and the certificate
-// carries the far-tier occupancy and demotion-flow bounds (the 1:0
-// baseline certifies the single-tier world). `make certify-tier`
-// diffs `memhog certify -far` against these listings.
-func genTierCertificates(_ string, _ compiler.Target) (map[string]string, error) {
-	cfg := kernel.DefaultConfig()
-	out := map[string]string{}
-	for _, s := range workload.All() {
-		for _, ratio := range experiments.TieringRatios {
-			dram, far := ratio.Split(cfg.UserMemPages)
-			full := compiler.DefaultTarget(cfg.PageSize, dram)
-			full.Prefetch = true
-			full.Release = true
-			prog := s.Program(nil)
-			c, err := compiler.Compile(prog, full)
-			if err != nil {
-				return nil, err
-			}
-			opts := footprint.Opts{Params: s.Params, FarPages: far, FarMinPrio: cfg.Far.MinPrio}
-			certs := map[footprint.Version]*footprint.Certificate{}
-			for _, v := range footprint.Versions() {
-				certs[v] = footprint.Certify(prog, full, c.Hints(), v, opts)
-			}
-			name := fmt.Sprintf("internal/footprint/testdata/%s.tier%d-%d.cert.golden",
-				s.Name, ratio.DRAM, ratio.Far)
-			out[name] = footprint.Report(certs)
-		}
 	}
 	return out, nil
 }

@@ -9,8 +9,8 @@
 //	memhog run <benchmark>      # one benchmark, all four versions
 //	memhog listing <benchmark>  # transformed code with inserted hints
 //	memhog vet [benchmark...]   # static hint-safety diagnostics (default: all)
-//	memhog certify [-far] [benchmark...] # hogflow residency certificates
-//	                            # (-far: two-tier, at every DRAM:far ratio)
+//	memhog certify [benchmark...] # hogflow residency certificates,
+//	                            # one section per DRAM:far ratio
 //	memhog timeline <benchmark> [O|P|R|B]  # memory dynamics over time
 //	memhog trace <benchmark> [O|P|R|B]     # event-level flight recorder
 //	memhog chaos <benchmark> [O|P|R|B] [-seed N] [-faults ...]
@@ -69,7 +69,7 @@ var commands = []command{
 	{"run", "<bench>", "one benchmark in all four versions", (*app).cmdRun},
 	{"listing", "<bench>", "transformed code with inserted hints", (*app).cmdListing},
 	{"vet", "[bench...]", "static hint-safety diagnostics, exit 1 on errors", (*app).cmdVet},
-	{"certify", "[-far] [bench...]", "hogflow residency certificates (default: all; -far for the two-tier DRAM:far sweep)", (*app).cmdCertify},
+	{"certify", "[bench...]", "hogflow residency certificates at every DRAM:far ratio (default: all)", (*app).cmdCertify},
 	{"timeline", "<bench> [O|P|R|B]", "memory dynamics over time", (*app).cmdTimeline},
 	{"trace", "<bench> [O|P|R|B]", "flight recorder: Chrome trace JSON on stdout (-log for the merged event log)", (*app).cmdTrace},
 	{"chaos", "<bench> [O|P|R|B] [-seed N] [-faults class|plan]", "deterministic fault injection with continuous invariant auditing", (*app).cmdChaos},
@@ -180,27 +180,16 @@ func (a *app) cmdVet() {
 }
 
 func (a *app) cmdCertify() {
-	fs := flag.NewFlagSet("certify", flag.ExitOnError)
-	far := fs.Bool("far", false, "two-tier certificates at every DRAM:far ratio of the tiering sweep")
-	fs.Parse(flag.Args()[1:])
-	names := fs.Args()
+	names := flag.Args()[1:]
 	if len(names) == 0 {
 		names = memhogs.BenchmarkNames()
 	}
 	for _, name := range names {
-		if *far {
-			out, err := memhogs.CertifyBenchmarkTiered(name, a.machine)
-			if err != nil {
-				fatal("%v", err)
-			}
-			fmt.Print(out)
-			continue
-		}
 		out, err := memhogs.CertifyBenchmark(name, a.machine)
 		if err != nil {
 			fatal("%v", err)
 		}
-		fmt.Printf("==== %s ====\n%s\n", name, out)
+		fmt.Print(out)
 	}
 }
 

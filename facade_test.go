@@ -2,6 +2,8 @@ package memhogs
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,7 +21,7 @@ func TestDuelFacade(t *testing.T) {
 }
 
 func TestSensitivityFacade(t *testing.T) {
-	out, err := Sensitivity("matvec", true, nil)
+	out, err := Campaign{Quick: true, Workers: 1}.Sensitivity("matvec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestVerifyQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick campaign")
 	}
-	out, _, err := Verify(true, nil)
+	out, _, err := Campaign{Quick: true, Workers: 1}.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,5 +164,28 @@ for i = 0 to 4095 { a[i] = a[i] + 1 @ 10 }
 	ws := prog.VetWithStats()
 	if ws.Notes < 2 || !strings.Contains(ws.String(), "HV000") {
 		t.Fatalf("VetWithStats missing HV000 summary notes:\n%s", ws)
+	}
+}
+
+// TestCertificateGoldens locks the facade's certificate listing for
+// every benchmark on the paper's machine against its checked-in golden
+// (the same bytes `memhog certify <bench>` prints). Regenerate with
+// `go run ./cmd/gen-golden`.
+func TestCertificateGoldens(t *testing.T) {
+	for _, name := range BenchmarkNames() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			got, err := CertifyBenchmark(name, DefaultMachine())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("internal", "footprint", "testdata", name+".cert.golden"))
+			if err != nil {
+				t.Fatalf("missing golden (run `go run ./cmd/gen-golden`): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("certificate listing differs from %s.cert.golden; if intentional run `go run ./cmd/gen-golden`\n--- got\n%s", name, got)
+			}
+		})
 	}
 }

@@ -72,9 +72,9 @@
 // loose, since a process can never hold more frames than exist.
 //
 // experiments.RunCertCrossValidation validates the certificate
-// dynamically: every benchmark × version runs under the flight
-// recorder and the observed peak resident set must stay at or below
-// the certified bound.
+// dynamically: every benchmark × mode × DRAM:far ratio runs under the
+// flight recorder and the observed peaks of both tiers must stay at
+// or below their certified bounds.
 package footprint
 
 import (

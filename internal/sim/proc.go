@@ -33,19 +33,7 @@ func (p *Proc) Now() Time { return p.sim.now }
 // can be woken or inspected but whose blocking methods belong to the
 // body goroutine alone.
 func (s *Sim) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
-	s.nprocs++
-	go func() {
-		<-p.resume // wait for first dispatch
-		defer func() {
-			p.finished = true
-			s.nprocs--
-			s.yield <- struct{}{}
-		}()
-		body(p)
-	}()
-	s.scheduleResume(p, s.now)
-	return p
+	return s.SpawnAt(s.now, name, body)
 }
 
 // SpawnAt is Spawn with a delayed start time.
@@ -53,7 +41,7 @@ func (s *Sim) SpawnAt(t Time, name string, body func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
 	s.nprocs++
 	go func() {
-		<-p.resume
+		<-p.resume // wait for first dispatch
 		defer func() {
 			p.finished = true
 			s.nprocs--

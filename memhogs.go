@@ -40,7 +40,6 @@ import (
 	"memhogs/internal/driver"
 	"memhogs/internal/events"
 	"memhogs/internal/experiments"
-	"memhogs/internal/footprint"
 	"memhogs/internal/hogvet"
 	"memhogs/internal/kernel"
 	"memhogs/internal/lang"
@@ -286,66 +285,21 @@ func VetBenchmark(name string, m Machine) (*VetReport, error) {
 	return vetReport(prog.name, hogvet.VetParams(prog.comp, spec.Params)), nil
 }
 
-// CertifyBenchmark compiles a built-in benchmark with the full hint
-// schedule and renders its hogflow residency certificates for all
-// four versions O/P/R/B: the per-nest breakdown of the buffered
-// interpretation plus the cross-version peak summary. The output is a
-// pure function of the benchmark and machine, so it is byte-identical
-// across runs and worker counts.
+// CertifyBenchmark renders a built-in benchmark's hogflow residency
+// certificates (`memhog certify`): one "==== name @ D:F ====" section
+// per DRAM:far ratio of the tiering campaign, each holding the
+// four-version O/P/R/B report against the machine's memory budget
+// split by that ratio. The 1:0 section is the single-tier
+// certificate; the others add the far-tier occupancy and
+// demotion-flow bounds. The output is a pure function of the
+// benchmark and machine, so it is byte-identical across runs and
+// worker counts.
 func CertifyBenchmark(name string, m Machine) (string, error) {
 	spec, err := specFor(name, m)
 	if err != nil {
 		return "", err
 	}
-	prog, err := Compile(spec.Source, m, Buffered)
-	if err != nil {
-		return "", err
-	}
-	certs := map[footprint.Version]*footprint.Certificate{}
-	for _, v := range footprint.Versions() {
-		certs[v] = footprint.Certify(prog.prog, prog.comp.Target, prog.comp.Hints(), v,
-			footprint.Opts{Params: spec.Params})
-	}
-	return footprint.Report(certs), nil
-}
-
-// CertifyBenchmarkTiered renders a benchmark's two-tier residency
-// certificates at every DRAM:far ratio of the tiering campaign
-// (`memhog certify -far`): the machine's memory budget is split by
-// each ratio, the schedule recompiles against the DRAM share, and the
-// report carries the far-tier occupancy and demotion-flow bounds next
-// to the DRAM peaks (the 1:0 baseline reproduces the single-tier
-// certificate). Sections are separated by "==== name @ D:F ===="
-// headers; like CertifyBenchmark the output is a pure function of the
-// benchmark and machine.
-func CertifyBenchmarkTiered(name string, m Machine) (string, error) {
-	spec, err := specFor(name, m)
-	if err != nil {
-		return "", err
-	}
-	cfg := m.kernelConfig()
-	var b strings.Builder
-	for _, ratio := range experiments.TieringRatios {
-		dram, far := ratio.Split(cfg.UserMemPages)
-		tgt := compiler.DefaultTarget(cfg.PageSize, dram)
-		tgt.Prefetch = true
-		tgt.Release = true
-		prog, err := lang.Parse(spec.Source)
-		if err != nil {
-			return "", err
-		}
-		comp, err := compiler.Compile(prog, tgt)
-		if err != nil {
-			return "", err
-		}
-		opts := footprint.Opts{Params: spec.Params, FarPages: far, FarMinPrio: cfg.Far.MinPrio}
-		certs := map[footprint.Version]*footprint.Certificate{}
-		for _, v := range footprint.Versions() {
-			certs[v] = footprint.Certify(prog, tgt, comp.Hints(), v, opts)
-		}
-		fmt.Fprintf(&b, "==== %s @ %s ====\n%s\n", name, ratio, footprint.Report(certs))
-	}
-	return b.String(), nil
+	return experiments.CertifyListing(spec, m.kernelConfig())
 }
 
 // RunOptions configures a Program run.
@@ -598,13 +552,6 @@ func (c Campaign) Experiment(id string) (string, error) {
 	}
 }
 
-// Experiment regenerates one table or figure with a serial campaign.
-// quick selects the scaled campaign; progress (may be nil) receives
-// per-run status lines. See Campaign for parallel execution.
-func Experiment(id string, quick bool, progress io.Writer) (string, error) {
-	return Campaign{Quick: quick, Workers: 1, Progress: progress}.Experiment(id)
-}
-
 // ExperimentIDs lists the reproducible tables and figures in paper
 // order.
 func ExperimentIDs() []string {
@@ -645,12 +592,6 @@ func (c Campaign) Sensitivity(bench string) (string, error) {
 	return experiments.FormatSensitivity(s).String(), nil
 }
 
-// Sensitivity runs Campaign.Sensitivity serially. quick uses the
-// scaled benchmark.
-func Sensitivity(bench string, quick bool, progress io.Writer) (string, error) {
-	return Campaign{Quick: quick, Workers: 1, Progress: progress}.Sensitivity(bench)
-}
-
 // Tenants runs the multi-tenant datacenter-node campaign: a
 // NUMA-sharded machine (per-node free lists, clock daemons and
 // releasers, plus an inter-node free-frame balancer) where a hog
@@ -669,12 +610,6 @@ func (c Campaign) Tenants(benches ...string) (string, error) {
 		return "", err
 	}
 	return experiments.TenantTable(m).String(), nil
-}
-
-// Tenants runs Campaign.Tenants serially. quick uses the scaled
-// machine and benchmarks.
-func Tenants(quick bool, progress io.Writer, benches ...string) (string, error) {
-	return Campaign{Quick: quick, Workers: 1, Progress: progress}.Tenants(benches...)
 }
 
 // Tiering runs the memory-tiering campaign: the machine's memory
@@ -697,12 +632,6 @@ func (c Campaign) Tiering(benches ...string) (string, error) {
 		return "", err
 	}
 	return experiments.TieringTable(d).String(), nil
-}
-
-// Tiering runs Campaign.Tiering serially. quick uses the scaled
-// machine and benchmarks.
-func Tiering(quick bool, progress io.Writer, benches ...string) (string, error) {
-	return Campaign{Quick: quick, Workers: 1, Progress: progress}.Tiering(benches...)
 }
 
 // Timeline runs one benchmark version with a concurrent interactive
@@ -991,11 +920,6 @@ func (c Campaign) Verify() (string, bool, error) {
 	return experiments.FormatClaims(claims), all, nil
 }
 
-// Verify runs Campaign.Verify serially.
-func Verify(quick bool, progress io.Writer) (string, bool, error) {
-	return Campaign{Quick: quick, Workers: 1, Progress: progress}.Verify()
-}
-
 // All regenerates every table and figure in paper order, sharing the
 // underlying runs between the figures the paper derives from the same
 // data (Figure 7/8/9 and Table 3 share one campaign; Figures 1 and
@@ -1038,10 +962,4 @@ func (c Campaign) All() (string, error) {
 	emit(experiments.Fig10b(inter).String())
 	emit(experiments.Fig10c(inter).String())
 	return b.String(), nil
-}
-
-// AllExperiments runs Campaign.All serially. quick selects the scaled
-// campaign.
-func AllExperiments(quick bool, progress io.Writer) (string, error) {
-	return Campaign{Quick: quick, Workers: 1, Progress: progress}.All()
 }

@@ -112,8 +112,9 @@ func TestBenchmarkNames(t *testing.T) {
 func TestExperimentIDsAllRenderQuick(t *testing.T) {
 	// Only the cheap static ones here; the full campaign runs in the
 	// Go benchmarks and the CLI.
+	c := Campaign{Quick: true, Workers: 1}
 	for _, id := range []string{"table1", "table2"} {
-		out, err := Experiment(id, true, nil)
+		out, err := c.Experiment(id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -121,7 +122,7 @@ func TestExperimentIDsAllRenderQuick(t *testing.T) {
 			t.Fatalf("%s: empty", id)
 		}
 	}
-	if _, err := Experiment("nosuch", true, nil); err == nil {
+	if _, err := c.Experiment("nosuch"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
