@@ -106,13 +106,17 @@ golden:
 	go run ./cmd/gen-golden
 
 # Flight-recorder smoke test: the Chrome trace export must be valid
-# JSON and byte-identical at any worker-pool setting.
+# JSON, and it and the merged -log text must be byte-identical at any
+# worker-pool setting.
 trace: build
 	@go run ./cmd/memhog -quick -quiet -j 1 trace matvec B > /tmp/memhog-trace-j1.json
 	@go run ./cmd/memhog -quick -quiet -j 4 trace matvec B > /tmp/memhog-trace-j4.json
 	@cmp /tmp/memhog-trace-j1.json /tmp/memhog-trace-j4.json
 	@python3 -m json.tool /tmp/memhog-trace-j1.json > /dev/null
-	@echo "trace: deterministic, valid JSON ($$(wc -c < /tmp/memhog-trace-j1.json) bytes)"
+	@go run ./cmd/memhog -quick -quiet -log -j 1 trace matvec B > /tmp/memhog-trace-j1.log
+	@go run ./cmd/memhog -quick -quiet -log -j 4 trace matvec B > /tmp/memhog-trace-j4.log
+	@cmp /tmp/memhog-trace-j1.log /tmp/memhog-trace-j4.log
+	@echo "trace: deterministic, valid JSON ($$(wc -c < /tmp/memhog-trace-j1.json) bytes), log deterministic ($$(wc -l < /tmp/memhog-trace-j1.log) lines)"
 
 # Fault injection: the chaos property harness and the quick chaos
 # matrix (benchmarks × versions × fault classes, continuously audited)

@@ -242,8 +242,18 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	out := make([]Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, *r.slot((r.head + i) % r.ringCap))
-	}
+	r.each(func(e *Event) { out = append(out, *e) })
 	return out
+}
+
+// each calls f on every retained event, oldest first, with a pointer
+// into the ring rather than a copy.
+func (r *Recorder) each(f func(e *Event)) {
+	if r == nil {
+		return
+	}
+	for i := 0; i < r.n; i++ {
+		j := (r.head + i) % r.ringCap
+		f(&r.chunks[j>>chunkShift][j&(1<<chunkShift-1)])
+	}
 }

@@ -39,6 +39,24 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if (r.Counts() != Counts{}) {
 		t.Fatal("nil recorder has counts")
 	}
+	// The exporters render an empty trace, the same bytes as a fresh
+	// recorder that saw nothing.
+	const summary = "events 0 recorded, 0 retained, 0 dropped by the ring\n"
+	const chrome = "{\"traceEvents\":[\n" +
+		`{"name":"process_name","ph":"M","pid":1,"args":{"name":"memhogs"}}` +
+		"\n],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":{\"dropped\":0}\n}\n"
+	empty := New(sim.New(), 0)
+	for _, rec := range []*Recorder{r, empty} {
+		if got := rec.Log(); got != summary {
+			t.Errorf("Log() = %q, want %q", got, summary)
+		}
+		if got := rec.CounterSummary(); got != summary {
+			t.Errorf("CounterSummary() = %q, want %q", got, summary)
+		}
+		if got := string(rec.Chrome()); got != chrome {
+			t.Errorf("Chrome() = %q, want %q", got, chrome)
+		}
+	}
 }
 
 func TestLogAndCounterSummary(t *testing.T) {

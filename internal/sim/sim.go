@@ -13,7 +13,7 @@
 package sim
 
 import (
-	"fmt"
+	"strconv"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of
@@ -29,16 +29,24 @@ const (
 )
 
 // String formats a Time with a unit suited to its magnitude.
-func (t Time) String() string {
+func (t Time) String() string { return string(t.AppendFormat(nil)) }
+
+// AppendFormat appends String's text to b: whole nanoseconds below a
+// microsecond, else three decimals of the largest unit the time
+// reaches ("999ns", "1.000us", "2.500ms", "1800.000s"). It is the one
+// time formatter; the flight recorder's Log appends through it. The
+// decimals come from the float64 quotient, as %.3f prints it, because
+// rounding the integer would differ from %.3f on .xxx5 ties.
+func (t Time) AppendFormat(b []byte) []byte {
 	switch {
 	case t >= Second:
-		return fmt.Sprintf("%.3fs", float64(t)/float64(Second))
+		return append(strconv.AppendFloat(b, float64(t)/float64(Second), 'f', 3, 64), 's')
 	case t >= Millisecond:
-		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
+		return append(strconv.AppendFloat(b, float64(t)/float64(Millisecond), 'f', 3, 64), "ms"...)
 	case t >= Microsecond:
-		return fmt.Sprintf("%.3fus", float64(t)/float64(Microsecond))
+		return append(strconv.AppendFloat(b, float64(t)/float64(Microsecond), 'f', 3, 64), "us"...)
 	default:
-		return fmt.Sprintf("%dns", int64(t))
+		return append(strconv.AppendInt(b, int64(t), 10), "ns"...)
 	}
 }
 

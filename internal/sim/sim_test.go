@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -585,5 +586,51 @@ func TestClampCounter(t *testing.T) {
 	}
 	if s.Now() != 100 {
 		t.Fatalf("clamped event ran at %v, want 100", s.Now())
+	}
+}
+
+// TestTimeAppendFormat pins the one time formatter against the
+// fmt.Sprintf forms String used to build, on each unit boundary and on
+// .xxx5 ties, where %.3f rounds the float64 quotient (1.0005 is just
+// below the tie in binary, 2.0005 just above) and integer half-up
+// rounding would not match.
+func TestTimeAppendFormat(t *testing.T) {
+	sprintf := func(t Time) string {
+		switch {
+		case t >= Second:
+			return fmt.Sprintf("%.3fs", float64(t)/float64(Second))
+		case t >= Millisecond:
+			return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
+		case t >= Microsecond:
+			return fmt.Sprintf("%.3fus", float64(t)/float64(Microsecond))
+		default:
+			return fmt.Sprintf("%dns", int64(t))
+		}
+	}
+	for _, c := range []struct {
+		t    Time
+		want string
+	}{
+		{0, "0ns"},
+		{999, "999ns"},
+		{Microsecond, "1.000us"},
+		{Millisecond - 1, "999.999us"},
+		{Millisecond, "1.000ms"},
+		{1_000_500, "1.000ms"},
+		{2_000_500, "2.001ms"},
+		{Second - 1, "1000.000ms"},
+		{Second, "1.000s"},
+		{1_234_500_000, "1.234s"},
+		{30 * 60 * Second, "1800.000s"},
+	} {
+		if ref := sprintf(c.t); ref != c.want {
+			t.Fatalf("table entry %d: fmt gives %q, table says %q", int64(c.t), ref, c.want)
+		}
+		if got := string(c.t.AppendFormat([]byte("t="))); got != "t="+c.want {
+			t.Errorf("AppendFormat(%d) = %q, want %q", int64(c.t), got, "t="+c.want)
+		}
+		if got := c.t.String(); got != c.want {
+			t.Errorf("String(%d) = %q, want %q", int64(c.t), got, c.want)
+		}
 	}
 }
