@@ -11,15 +11,11 @@
 package memhogs
 
 import (
-	"encoding/json"
-	"os"
 	"strconv"
 	"testing"
-	"time"
 
 	"memhogs/internal/compiler"
 	"memhogs/internal/driver"
-	"memhogs/internal/events"
 	"memhogs/internal/experiments"
 	"memhogs/internal/kernel"
 	"memhogs/internal/rt"
@@ -512,181 +508,3 @@ func BenchmarkInteractiveAlone(b *testing.B) {
 }
 
 func sizeName(n int) string { return strconv.Itoa(n) }
-
-// simCell is one row of BENCH_sim.json: simulator throughput for one
-// benchmark × version on the scaled machine, flight recorder on.
-type simCell struct {
-	Bench          string  `json:"bench"`
-	Version        string  `json:"version"`
-	Events         int64   `json:"events"`
-	VirtualSec     float64 `json:"virtual_sec"`
-	WallSec        float64 `json:"wall_sec"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	VirtualPerWall float64 `json:"virtual_sec_per_wall_sec"`
-}
-
-// BenchmarkSimMatrix measures raw simulator throughput — flight-
-// recorder events emitted per wall second and virtual seconds
-// simulated per wall second — for every benchmark × version, and
-// writes the final measurements to BENCH_sim.json, the artifact `make
-// bench` publishes for tracking simulator-performance regressions.
-func BenchmarkSimMatrix(b *testing.B) {
-	var cells []simCell
-	for _, spec := range workload.AllScaled() {
-		for _, mode := range experiments.Modes {
-			spec, mode := spec, mode
-			b.Run(spec.Name+"/"+mode.String(), func(b *testing.B) {
-				var last simCell
-				for i := 0; i < b.N; i++ {
-					var rec *events.Recorder
-					cfg := driver.TestRunConfig(mode)
-					cfg.RT = rt.DefaultConfig(mode)
-					cfg.OnSystem = func(sys *kernel.System) {
-						rec = events.New(sys.Sim, 1<<16)
-						sys.SetEvents(rec)
-					}
-					start := time.Now()
-					r, err := driver.Run(spec, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					wall := time.Since(start).Seconds()
-					var emitted int64
-					counts := rec.Counts()
-					for k := events.Kind(0); k < events.KindCount; k++ {
-						emitted += counts.Get(k)
-					}
-					last = simCell{
-						Bench:      spec.Name,
-						Version:    mode.String(),
-						Events:     emitted,
-						VirtualSec: r.Elapsed.Seconds(),
-						WallSec:    wall,
-					}
-					if wall > 0 {
-						last.EventsPerSec = float64(emitted) / wall
-						last.VirtualPerWall = last.VirtualSec / wall
-					}
-					b.ReportMetric(last.EventsPerSec, "ev/s")
-					b.ReportMetric(last.VirtualPerWall, "vsec/s")
-				}
-				cells = append(cells, last)
-			})
-		}
-	}
-	// The multi-tenant cells: the NUMA-sharded kernel (per-node clock
-	// daemons, balancer) plus the open-loop job stream, with matvec as
-	// the hog population.
-	for _, mode := range experiments.Modes {
-		mode := mode
-		b.Run("tenants/"+mode.String(), func(b *testing.B) {
-			spec, err := workload.ScaledByName("matvec")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var last simCell
-			for i := 0; i < b.N; i++ {
-				var rec *events.Recorder
-				cfg := driver.DefaultTenantConfig(mode)
-				cfg.Kernel = kernel.TestConfig()
-				cfg.Kernel.Nodes = 4
-				cfg.JobPages = 16
-				cfg.MeanInterarrival = 100 * sim.Millisecond
-				cfg.Horizon = 3 * sim.Second
-				cfg.OnSystem = func(sys *kernel.System) {
-					rec = events.New(sys.Sim, 1<<16)
-					sys.SetEvents(rec)
-				}
-				start := time.Now()
-				if _, err := driver.RunTenants(spec, cfg); err != nil {
-					b.Fatal(err)
-				}
-				wall := time.Since(start).Seconds()
-				var emitted int64
-				counts := rec.Counts()
-				for k := events.Kind(0); k < events.KindCount; k++ {
-					emitted += counts.Get(k)
-				}
-				last = simCell{
-					Bench:      "tenants",
-					Version:    mode.String(),
-					Events:     emitted,
-					VirtualSec: cfg.Horizon.Seconds(),
-					WallSec:    wall,
-				}
-				if wall > 0 {
-					last.EventsPerSec = float64(emitted) / wall
-					last.VirtualPerWall = last.VirtualSec / wall
-				}
-				b.ReportMetric(last.EventsPerSec, "ev/s")
-				b.ReportMetric(last.VirtualPerWall, "vsec/s")
-			}
-			cells = append(cells, last)
-		})
-	}
-
-	// The tiering cells: FFTPDE under buffered releasing with the same
-	// total budget split DRAM:far at each campaign ratio. 1:0 measures
-	// the far-tier code's overhead on an all-DRAM machine; the other
-	// ratios exercise the demote/promote paths under real traffic.
-	for _, ratio := range experiments.TieringRatios {
-		ratio := ratio
-		b.Run("tiering/B@"+ratio.String(), func(b *testing.B) {
-			spec, err := workload.ScaledByName("fftpde")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var last simCell
-			for i := 0; i < b.N; i++ {
-				var rec *events.Recorder
-				cfg := driver.TestRunConfig(rt.ModeBuffered)
-				cfg.RT = rt.DefaultConfig(rt.ModeBuffered)
-				dram, far := ratio.Split(cfg.Kernel.UserMemPages)
-				cfg.Kernel.UserMemPages = dram
-				cfg.Kernel.Far.Pages = far
-				cfg.OnSystem = func(sys *kernel.System) {
-					rec = events.New(sys.Sim, 1<<16)
-					sys.SetEvents(rec)
-				}
-				start := time.Now()
-				r, err := driver.Run(spec, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				wall := time.Since(start).Seconds()
-				var emitted int64
-				counts := rec.Counts()
-				for k := events.Kind(0); k < events.KindCount; k++ {
-					emitted += counts.Get(k)
-				}
-				last = simCell{
-					Bench:      "tiering",
-					Version:    "B@" + ratio.String(),
-					Events:     emitted,
-					VirtualSec: r.Elapsed.Seconds(),
-					WallSec:    wall,
-				}
-				if wall > 0 {
-					last.EventsPerSec = float64(emitted) / wall
-					last.VirtualPerWall = last.VirtualSec / wall
-				}
-				b.ReportMetric(last.EventsPerSec, "ev/s")
-				b.ReportMetric(last.VirtualPerWall, "vsec/s")
-			}
-			cells = append(cells, last)
-		})
-	}
-
-	// A -bench filter that selects only some cells must not publish a
-	// partial artifact.
-	if len(cells) != (len(workload.AllScaled())+1)*len(experiments.Modes)+len(experiments.TieringRatios) {
-		return
-	}
-	data, err := json.MarshalIndent(cells, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_sim.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -16,17 +16,23 @@ import (
 	"memhogs/internal/workload"
 )
 
-// traceRun runs one scaled benchmark with the recorder attached and
-// returns the recorder next to the driver's result.
-func traceRun(t *testing.T, bench string, mode rt.Mode) (*events.Recorder, *driver.Result) {
+// recordRun runs one scaled benchmark with the recorder attached,
+// after applying mut (nil for none) to the test config, and returns
+// the recorder, the simulated system and the driver's result.
+func recordRun(t *testing.T, bench string, mode rt.Mode, mut func(*driver.RunConfig)) (*events.Recorder, *kernel.System, *driver.Result) {
 	t.Helper()
 	spec, err := workload.ScaledByName(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rec *events.Recorder
+	var system *kernel.System
 	cfg := driver.TestRunConfig(mode)
+	if mut != nil {
+		mut(&cfg)
+	}
 	cfg.OnSystem = func(sys *kernel.System) {
+		system = sys
 		rec = events.New(sys.Sim, 1<<18)
 		sys.SetEvents(rec)
 	}
@@ -34,7 +40,7 @@ func traceRun(t *testing.T, bench string, mode rt.Mode) (*events.Recorder, *driv
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec, res
+	return rec, system, res
 }
 
 // TestTraceEventCountsMatchRunStats is the core acceptance criterion:
@@ -44,7 +50,7 @@ func traceRun(t *testing.T, bench string, mode rt.Mode) (*events.Recorder, *driv
 func TestTraceEventCountsMatchRunStats(t *testing.T) {
 	for _, mode := range []rt.Mode{rt.ModeOriginal, rt.ModePrefetch, rt.ModeAggressive, rt.ModeBuffered} {
 		t.Run(mode.String(), func(t *testing.T) {
-			rec, res := traceRun(t, "matvec", mode)
+			rec, _, res := recordRun(t, "matvec", mode, nil)
 			c := rec.Counts()
 			checks := []struct {
 				kind events.Kind
@@ -99,24 +105,10 @@ func TestTraceEventCountsMatchRunStats(t *testing.T) {
 // must equal the VM, releaser and far-tier statistics — and the run
 // must actually exercise the tier, or the comparison is vacuous.
 func TestTieringCountersMatchRunStats(t *testing.T) {
-	spec, err := workload.ScaledByName("fftpde")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec *events.Recorder
-	var sysFar *kernel.System
-	cfg := driver.TestRunConfig(rt.ModeBuffered)
-	cfg.Kernel.UserMemPages -= 64
-	cfg.Kernel.Far.Pages = 64
-	cfg.OnSystem = func(sys *kernel.System) {
-		sysFar = sys
-		rec = events.New(sys.Sim, 1<<18)
-		sys.SetEvents(rec)
-	}
-	res, err := driver.Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec, sysFar, res := recordRun(t, "fftpde", rt.ModeBuffered, func(c *driver.RunConfig) {
+		c.Kernel.UserMemPages -= 64
+		c.Kernel.Far.Pages = 64
+	})
 	c := rec.Counts()
 	checks := []struct {
 		kind events.Kind
@@ -156,8 +148,8 @@ func TestTieringCountersMatchRunStats(t *testing.T) {
 	if peakFar <= 0 {
 		t.Error("PeakFarResident = 0 on a run that demoted pages")
 	}
-	if peakFar > int64(cfg.Kernel.Far.Pages) {
-		t.Errorf("PeakFarResident %d exceeds far-tier size %d", peakFar, cfg.Kernel.Far.Pages)
+	if peakFar > int64(sysFar.Cfg.Far.Pages) {
+		t.Errorf("PeakFarResident %d exceeds far-tier size %d", peakFar, sysFar.Cfg.Far.Pages)
 	}
 	if peakFar > c.Get(events.TierDemote) {
 		t.Errorf("PeakFarResident %d exceeds tier-demote total %d", peakFar, c.Get(events.TierDemote))

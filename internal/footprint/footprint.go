@@ -186,9 +186,9 @@ func (p Policy) String() string {
 // ArrayWindow is one array's abstract state within one nest.
 type ArrayWindow struct {
 	Array          string
-	Footprint      Poly   // symbolic footprint bound, in pages
-	FootprintPages int64  // evaluated footprint; -1 when unresolved
-	WindowPages    int64  // version-specific resident window; -1 when unresolved
+	Footprint      Poly  // symbolic footprint bound, in pages
+	FootprintPages int64 // evaluated footprint; -1 when unresolved
+	WindowPages    int64 // version-specific resident window; -1 when unresolved
 	Policy         Policy
 	Note           string // reason for ⊤ or retention, if any
 
@@ -286,8 +286,8 @@ type Certificate struct {
 	// traffic over the whole run (-1 = ⊤: an imprecise or indirect
 	// release can demote the same page repeatedly, so no finite
 	// static bound exists).
-	FarPages          int   // configured far-tier size, from Opts
-	FarMinPrio        int   // demotion gate, from Opts
+	FarPages          int // configured far-tier size, from Opts
+	FarMinPrio        int // demotion gate, from Opts
 	FarBoundPages     int64
 	FarCertifiedPages int64
 	FarClamped        bool

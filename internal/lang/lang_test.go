@@ -270,16 +270,16 @@ func TestParseErrorsAreDiagnosed(t *testing.T) {
 func TestMoreParseErrors(t *testing.T) {
 	bad := []string{
 		"program p\narray a[10] of nosuchtype\na[0] = 1",
-		"program p\narray a[10] of 0\na[0] = 1",                        // zero elem size
-		"program p\narray a[10] of float64\narray a[4] of float64",     // redeclared
-		"program p\narray a[10] of float64\na[i*j] = 1",                // two non-params multiplied
-		"program p\nparam N\narray a[10] of float64\ncall f(N)",        // undeclared proc
-		"program p\nproc f(x) { }\ncall f(1, 2)",                       // arity
-		"program p\narray a[10] of float64\nfor i = 0 to 9 { a[i] = 1", // unclosed block
+		"program p\narray a[10] of 0\na[0] = 1",                                                        // zero elem size
+		"program p\narray a[10] of float64\narray a[4] of float64",                                     // redeclared
+		"program p\narray a[10] of float64\na[i*j] = 1",                                                // two non-params multiplied
+		"program p\nparam N\narray a[10] of float64\ncall f(N)",                                        // undeclared proc
+		"program p\nproc f(x) { }\ncall f(1, 2)",                                                       // arity
+		"program p\narray a[10] of float64\nfor i = 0 to 9 { a[i] = 1",                                 // unclosed block
 		"program p\narray b[4][4] of int64\narray a[10] of float64\nfor i = 0 to 3 { a[b[i][i]] = 1 }", // 2-D indirection array
-		"program p\narray a[10] of float64\na[0] = 1 @ x",              // non-numeric cost
-		"program p\nknown = 4",                                          // malformed known
-		"program p\narray a[10] of float64\nfor i = 0 to {\n}",          // missing bound
+		"program p\narray a[10] of float64\na[0] = 1 @ x",                                              // non-numeric cost
+		"program p\nknown = 4",                                                                         // malformed known
+		"program p\narray a[10] of float64\nfor i = 0 to {\n}",                                         // missing bound
 	}
 	for i, src := range bad {
 		if _, err := Parse(src); err == nil {

@@ -17,29 +17,6 @@ import (
 	"memhogs/internal/workload"
 )
 
-// coverageRun is traceRun with an arbitrary config mutation (fault
-// plans, repeat mode, queue-cap stress).
-func coverageRun(t *testing.T, bench string, mode rt.Mode, mut func(*driver.RunConfig)) events.Counts {
-	t.Helper()
-	spec, err := workload.ScaledByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec *events.Recorder
-	cfg := driver.TestRunConfig(mode)
-	if mut != nil {
-		mut(&cfg)
-	}
-	cfg.OnSystem = func(sys *kernel.System) {
-		rec = events.New(sys.Sim, 1<<18)
-		sys.SetEvents(rec)
-	}
-	if _, err := driver.Run(spec, cfg); err != nil {
-		t.Fatal(err)
-	}
-	return rec.Counts()
-}
-
 // tenantCoverageRun runs a small sharded multi-tenant experiment, the
 // only reachable source of the NUMA kinds (alloc-local, alloc-remote,
 // balancer-migrate).
@@ -77,16 +54,20 @@ func TestEveryEventKindObservable(t *testing.T) {
 			total[k] += c[k]
 		}
 	}
+	addRun := func(bench string, mode rt.Mode, mut func(*driver.RunConfig)) {
+		rec, _, _ := recordRun(t, bench, mode, mut)
+		add(rec.Counts())
+	}
 
 	// The headline configuration: a full scaled FFTPDE run under the
 	// buffered version covers the fault, daemon, releaser, run-time
 	// buffering and shared-page paths.
-	add(coverageRun(t, "fftpde", rt.ModeBuffered, nil))
+	addRun("fftpde", rt.ModeBuffered, nil)
 
 	// Reactive mode is the only producer of daemon-donated: pages
 	// leave the buffered queues only when the daemon pulls them
 	// through the donor callback.
-	add(coverageRun(t, "fftpde", rt.ModeReactive, nil))
+	addRun("fftpde", rt.ModeReactive, nil)
 
 	// A chaos-armed repeat run covers chaos-inject and the defensive
 	// paths a clean single pass never reaches: free-list rescues and
@@ -97,20 +78,20 @@ func TestEveryEventKindObservable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add(coverageRun(t, "matvec", rt.ModeAggressive, func(c *driver.RunConfig) {
+	addRun("matvec", rt.ModeAggressive, func(c *driver.RunConfig) {
 		c.Chaos = &plan
 		c.Repeat = true
 		c.Horizon = 2 * 60 * sim.Second
-	}))
+	})
 
 	// Starved queues force the two overflow kinds: a one-slot prefetch
 	// work queue drops hints, and a four-page release queue hits its
 	// cap on every burst.
-	add(coverageRun(t, "fftpde", rt.ModeBuffered, func(c *driver.RunConfig) {
+	addRun("fftpde", rt.ModeBuffered, func(c *driver.RunConfig) {
 		c.RT.MaxQueue = 4
 		c.RT.MaxPfQueue = 1
 		c.RT.Workers = 1
-	}))
+	})
 
 	// A NUMA-sharded multi-tenant run is the only producer of the
 	// node-placement kinds: alloc-local/alloc-remote are emitted only
@@ -124,10 +105,10 @@ func TestEveryEventKindObservable(t *testing.T) {
 	// references promote them back at far latency (fault-far +
 	// tier-promote). The DRAM budget shrinks by the far pages so the
 	// total stays the test machine's 256.
-	add(coverageRun(t, "fftpde", rt.ModeBuffered, func(c *driver.RunConfig) {
+	addRun("fftpde", rt.ModeBuffered, func(c *driver.RunConfig) {
 		c.Kernel.UserMemPages -= 64
 		c.Kernel.Far.Pages = 64
-	}))
+	})
 
 	for k := events.Kind(0); k < events.KindCount; k++ {
 		if k.String() == "unknown" {
