@@ -126,7 +126,8 @@ trace: build
 # Fault injection: the chaos property harness and the quick chaos
 # matrix (benchmarks × versions × fault classes, continuously audited)
 # under the race detector, plus byte-identical replay checks of one
-# default-plan run and one explicit multi-class plan.
+# default-plan run, one explicit multi-class plan, and the far class
+# (far-tier faults, including hot-unplug of far slots).
 chaos: build
 	go test -race -run 'TestChaos|TestMetamorphic' ./internal/chaostest/ ./internal/experiments/
 	@go run ./cmd/memhog -quick -quiet -json chaos matvec B -seed 7 > /tmp/memhog-chaos-a.json
@@ -135,6 +136,9 @@ chaos: build
 	@go run ./cmd/memhog -quick -quiet -json chaos mgrid R -seed 42 -faults "releaser-stall:p=0.1,mag=5ms;disk-error:p=0.02" > /tmp/memhog-chaos-c.json
 	@go run ./cmd/memhog -quick -quiet -json chaos mgrid R -seed 42 -faults "releaser-stall:p=0.1,mag=5ms;disk-error:p=0.02" > /tmp/memhog-chaos-d.json
 	@cmp /tmp/memhog-chaos-c.json /tmp/memhog-chaos-d.json
+	@go run ./cmd/memhog -quick -quiet -json chaos fftpde B -seed 3 -faults far > /tmp/memhog-chaos-e.json
+	@go run ./cmd/memhog -quick -quiet -json chaos fftpde B -seed 3 -faults far > /tmp/memhog-chaos-f.json
+	@cmp /tmp/memhog-chaos-e.json /tmp/memhog-chaos-f.json
 	@echo "chaos: replay deterministic"
 
 # Short fuzz sessions over the language front end and the chaos plan

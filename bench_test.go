@@ -17,7 +17,6 @@ import (
 	"memhogs/internal/compiler"
 	"memhogs/internal/driver"
 	"memhogs/internal/experiments"
-	"memhogs/internal/kernel"
 	"memhogs/internal/rt"
 	"memhogs/internal/sim"
 	"memhogs/internal/vm"
@@ -456,18 +455,18 @@ func BenchmarkReactiveVsProactive(b *testing.B) {
 // buffered releasing): the multiprogrammed scenario of the paper's
 // introduction.
 func BenchmarkDuel(b *testing.B) {
+	matvec, mgrid := workload.MatvecScaled(), workload.MgridScaled()
 	for i := 0; i < b.N; i++ {
-		kcfg := kernel.TestConfig()
-		pa, pb, err := driver.RunPair("matvec", "mgrid", rt.ModePrefetch, kcfg, true, 30*60*sim.Second)
+		pa, pb, err := driver.RunPair(matvec, mgrid, driver.TestRunConfig(rt.ModePrefetch))
 		if err != nil {
 			b.Fatal(err)
 		}
-		ra, rb, err := driver.RunPair("matvec", "mgrid", rt.ModeBuffered, kcfg, true, 30*60*sim.Second)
+		ra, rb, err := driver.RunPair(matvec, mgrid, driver.TestRunConfig(rt.ModeBuffered))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(pa.Stolen+pb.Stolen), "P-mutual-stolen")
-		b.ReportMetric(float64(ra.Stolen+rb.Stolen), "B-mutual-stolen")
+		b.ReportMetric(float64(pa.VM.StolenPages+pb.VM.StolenPages), "P-mutual-stolen")
+		b.ReportMetric(float64(ra.VM.StolenPages+rb.VM.StolenPages), "B-mutual-stolen")
 	}
 }
 

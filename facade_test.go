@@ -20,6 +20,12 @@ func TestDuelFacade(t *testing.T) {
 	}
 }
 
+func TestDuelUnknownBenchmark(t *testing.T) {
+	if _, err := Duel("nosuch", "embar", TestMachine()); err == nil {
+		t.Fatal("unknown benchmark accepted")
+	}
+}
+
 func TestSensitivityFacade(t *testing.T) {
 	out, err := Campaign{Quick: true, Workers: 1}.Sensitivity("matvec")
 	if err != nil {

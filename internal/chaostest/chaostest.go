@@ -11,7 +11,6 @@ import (
 
 	"memhogs/internal/chaos"
 	"memhogs/internal/driver"
-	"memhogs/internal/kernel"
 	"memhogs/internal/rt"
 	"memhogs/internal/sim"
 	"memhogs/internal/workload"
@@ -30,16 +29,12 @@ const Horizon = 120 * sim.Second
 // under plan: scaled machine, run to completion, auditing on the
 // cadence and after every fault.
 func Config(mode rt.Mode, plan *chaos.Plan) driver.RunConfig {
-	return driver.RunConfig{
-		Kernel:           kernel.TestConfig(),
-		Mode:             mode,
-		RT:               rt.DefaultConfig(mode),
-		Horizon:          Horizon,
-		InteractiveSleep: -1,
-		Chaos:            plan,
-		AuditEvery:       AuditEvery,
-		AuditOnFault:     true,
-	}
+	cfg := driver.TestRunConfig(mode)
+	cfg.Horizon = Horizon
+	cfg.Chaos = plan
+	cfg.AuditEvery = AuditEvery
+	cfg.AuditOnFault = true
+	return cfg
 }
 
 // RunPlan executes one scaled benchmark version under plan.

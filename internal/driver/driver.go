@@ -38,7 +38,9 @@ type RunConfig struct {
 	Horizon sim.Time
 
 	// InteractiveSleep enables the concurrent interactive task with
-	// the given think time; negative disables it.
+	// the given think time; negative disables it. Only Run and
+	// RunCompiled have the task; RunPair and RunTenants reject a
+	// non-negative value.
 	InteractiveSleep sim.Time
 
 	// TargetTweak, if non-nil, adjusts the compiler target (for
@@ -164,31 +166,10 @@ func (r *Result) TotalTime() sim.Time {
 
 // Run executes one experiment.
 func Run(spec *workload.Spec, cfg RunConfig) (*Result, error) {
-	if err := cfg.Kernel.Validate(); err != nil {
+	comp, err := cfg.compile(spec)
+	if err != nil {
 		return nil, err
 	}
-	params := cfg.Params
-	if params == nil {
-		params = spec.Params
-	}
-
-	tgt := compiler.DefaultTarget(cfg.Kernel.PageSize, cfg.Kernel.UserMemPages)
-	tgt.Prefetch = cfg.Mode.UsesPrefetch()
-	tgt.Release = cfg.Mode.UsesRelease()
-	if cfg.TargetTweak != nil {
-		cfg.TargetTweak(&tgt)
-	}
-	var comp *compiler.Compiled
-	var err error
-	if cfg.Cache != nil {
-		comp, err = cfg.Cache.Compile(spec, params, tgt)
-	} else {
-		comp, err = compiler.Compile(spec.Program(params), tgt)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", spec.Name, err)
-	}
-	cfg.Params = params
 	return RunCompiled(spec.Name, comp, cfg)
 }
 
@@ -196,137 +177,64 @@ func Run(spec *workload.Spec, cfg RunConfig) (*Result, error) {
 // custom-program path). The compiled target's Prefetch/Release flags
 // must match cfg.Mode.
 func RunCompiled(name string, comp *compiler.Compiled, cfg RunConfig) (*Result, error) {
-	if err := cfg.Kernel.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if comp.Target.Prefetch != cfg.Mode.UsesPrefetch() || comp.Target.Release != cfg.Mode.UsesRelease() {
+		return nil, fmt.Errorf("driver: %s compiled with prefetch=%v release=%v, mode %v needs %v/%v", name,
+			comp.Target.Prefetch, comp.Target.Release, cfg.Mode, cfg.Mode.UsesPrefetch(), cfg.Mode.UsesRelease())
 	}
 	img, err := comp.Bind(cfg.Params)
 	if err != nil {
 		return nil, fmt.Errorf("bind %s: %w", name, err)
 	}
 
-	sys := kernel.NewSystem(cfg.Kernel)
-	if cfg.OnSystem != nil {
-		cfg.OnSystem(sys)
-	}
-
-	// Continuous auditing: the first inconsistency stops the run and is
-	// reported as the run's error, stamped with when it was found.
-	var auditErr error
-	audit := func() {
-		if auditErr != nil {
-			return
-		}
-		if err := sys.Audit(); err != nil {
-			auditErr = fmt.Errorf("at t=%v: %w", sys.Now(), err)
-			sys.Sim.Stop()
-		}
-	}
-
-	var inj *chaos.Injector
-	if cfg.Chaos != nil {
-		// The injector must exist before the run-time layer is built:
-		// rt.New copies System.Chaos.
-		inj = chaos.NewInjector(sys.Sim, sys.Events, *cfg.Chaos)
-		sys.SetChaos(inj)
-		// Hot-unplug may not take so much memory that the daemon's
-		// steal target becomes unreachable.
-		maxOff := cfg.Kernel.UserMemPages - 2*cfg.Kernel.TargetFreePages
-		if maxOff < 0 {
-			maxOff = 0
-		}
-		inj.ScheduleMem(sys.Phys, maxOff, sys.KickDaemons)
-		if sys.Far != nil {
-			// Far-tier hot-unplug drains only free slots, so leaving
-			// half the tier as a floor keeps demotions meaningful.
-			inj.ScheduleFar(sys.Far, cfg.Kernel.Far.Pages/2)
-		}
-		if cfg.AuditOnFault {
-			inj.OnFault = func(chaos.Site) { audit() }
-		}
-	}
-
-	auditTicks := 0
-	if cfg.AuditEvery > 0 {
-		var tick func()
-		tick = func() {
-			audit()
-			auditTicks++
-			if auditErr == nil {
-				sys.Sim.At(sys.Now()+cfg.AuditEvery, tick)
-			}
-		}
-		sys.Sim.At(cfg.AuditEvery, tick)
-	}
-
-	proc := sys.NewProcess(name, img.TotalPages)
-	var pm *pdpm.PM
-	if cfg.Mode.UsesPrefetch() {
-		pm = proc.AttachPM(0)
-	}
-	layer := rt.New(proc, pm, cfg.RT)
-
+	h := boot(cfg)
+	g := h.newHog(name, img)
 	var inter *Interactive
 	if cfg.InteractiveSleep >= 0 {
-		inter = StartInteractive(sys, cfg.InteractiveSleep)
+		inter = StartInteractive(h.sys, cfg.InteractiveSleep)
+	}
+	h.start(g, !cfg.Repeat)
+	if err := h.finish(name); err != nil {
+		return nil, err
 	}
 
-	res := &Result{Bench: name, Mode: cfg.Mode}
-	runErrCh := make(chan error, 1)
-	proc.Start(!cfg.Repeat, func(th *kernel.Thread) {
-		layer.Bind(th)
-		for {
-			if err := img.Run(layer); err != nil {
-				runErrCh <- err
-				return
-			}
-			res.Runs++
-			if !cfg.Repeat || (cfg.Horizon > 0 && th.Now() >= cfg.Horizon) {
-				return
-			}
-		}
-	})
+	sys, proc := h.sys, g.proc
+	res := &Result{
+		Bench:        name,
+		Mode:         cfg.Mode,
+		Elapsed:      proc.Elapsed(),
+		Done:         proc.Done,
+		Runs:         g.runs,
+		Times:        proc.Times,
+		WorkerTimes:  proc.WorkerTimes,
+		VM:           proc.AS.Stats,
+		RT:           g.layer.Stats,
+		Disk:         sys.Disks.Stats(),
+		Daemon:       sys.DaemonStats(),
+		Releaser:     sys.ReleaserStats(),
+		Balancer:     sys.BalancerStats(),
+		Phys:         sys.Phys.Stats(),
+		Far:          sys.Far.Stats(),
+		CompileStats: comp.Stats,
+		DataBytes:    img.DataBytes,
+		TotalPages:   img.TotalPages,
 
-	sys.Run(cfg.Horizon)
-	select {
-	case err := <-runErrCh:
-		return nil, fmt.Errorf("run %s: %w", name, err)
-	default:
-	}
-	if auditErr != nil {
-		return nil, fmt.Errorf("audit %s: %w", name, auditErr)
-	}
+		MemlockAcquisitions: proc.AS.Memlock.Acquisitions,
+		MemlockContended:    proc.AS.Memlock.Contended,
+		MemlockWait:         proc.AS.Memlock.WaitTime,
+		MemlockHold:         proc.AS.Memlock.HoldTime,
 
-	res.Elapsed = proc.Elapsed()
-	res.Done = proc.Done
-	res.Times = proc.Times
-	res.WorkerTimes = proc.WorkerTimes
-	res.VM = proc.AS.Stats
-	if pm != nil {
-		res.PM = pm.Stats
+		Chaos:      h.inj.Counts(),
+		AuditTicks: h.auditTicks,
+		SimClamps:  sys.Sim.ClampedSchedules(),
 	}
-	res.RT = layer.Stats
-	res.Disk = sys.Disks.Stats()
-	res.Daemon = sys.DaemonStats()
-	res.Releaser = sys.ReleaserStats()
-	res.Balancer = sys.BalancerStats()
-	res.Phys = sys.Phys.Stats()
-	res.Far = sys.Far.Stats()
-	res.CompileStats = comp.Stats
-	res.DataBytes = img.DataBytes
-	res.TotalPages = img.TotalPages
-	res.MemlockAcquisitions = proc.AS.Memlock.Acquisitions
-	res.MemlockContended = proc.AS.Memlock.Contended
-	res.MemlockWait = proc.AS.Memlock.WaitTime
-	res.MemlockHold = proc.AS.Memlock.HoldTime
+	if g.pm != nil {
+		res.PM = g.pm.Stats
+	}
 	if inter != nil {
 		res.Interactive = inter.Stats()
-	}
-	res.Chaos = inj.Counts()
-	res.AuditTicks = auditTicks
-	res.SimClamps = sys.Sim.ClampedSchedules()
-	// Every run doubles as a whole-system consistency check.
-	if err := sys.Audit(); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"memhogs/internal/compiler"
-	"memhogs/internal/kernel"
-	"memhogs/internal/pdpm"
 	"memhogs/internal/rt"
 	"memhogs/internal/sim"
 	"memhogs/internal/vm"
@@ -19,8 +17,7 @@ type PairResult struct {
 	Elapsed sim.Time
 	Done    bool
 	Times   [vm.NumBuckets]sim.Time
-	VM      vm.Stats
-	Stolen  int64 // pages the daemon took from this process
+	VM      vm.Stats // VM.StolenPages: pages the daemon took from this process
 }
 
 // RunPair runs two out-of-core benchmarks concurrently on one machine,
@@ -28,71 +25,49 @@ type PairResult struct {
 // paper's introduction motivates but its evaluation (one hog plus the
 // interactive task) does not measure. It answers: does releasing still
 // help when the "other application" is another memory hog?
-func RunPair(nameA, nameB string, mode rt.Mode, kcfg kernel.Config, scaled bool, horizon sim.Time) (*PairResult, *PairResult, error) {
-	lookup := workload.ByName
-	if scaled {
-		lookup = workload.ScaledByName
+//
+// Each program is bound with its spec's own parameters, and there is
+// no interactive task: cfg.Params must be nil and cfg.InteractiveSleep
+// negative.
+func RunPair(specA, specB *workload.Spec, cfg RunConfig) (*PairResult, *PairResult, error) {
+	if cfg.Params != nil {
+		return nil, nil, fmt.Errorf("driver: RunPair binds each spec's own params; Params must be nil")
 	}
-	specA, err := lookup(nameA)
-	if err != nil {
-		return nil, nil, err
+	if cfg.InteractiveSleep >= 0 {
+		return nil, nil, fmt.Errorf("driver: RunPair has no interactive task; InteractiveSleep must be negative")
 	}
-	specB, err := lookup(nameB)
-	if err != nil {
-		return nil, nil, err
+	specs := []*workload.Spec{specA, specB}
+	imgs := make([]*compiler.Image, len(specs))
+	for i, spec := range specs {
+		c := cfg
+		comp, err := c.compile(spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		if imgs[i], err = comp.Bind(c.Params); err != nil {
+			return nil, nil, fmt.Errorf("bind %s: %w", spec.Name, err)
+		}
 	}
 
-	sys := kernel.NewSystem(kcfg)
-	type side struct {
-		spec *workload.Spec
-		res  *PairResult
-		proc *kernel.Process
+	h := boot(cfg)
+	hogs := make([]*hog, len(specs))
+	for i, spec := range specs {
+		hogs[i] = h.newHog(spec.Name, imgs[i])
+		h.start(hogs[i], false)
 	}
-	sides := []*side{{spec: specA}, {spec: specB}}
-	runErrCh := make(chan error, len(sides))
-	for _, s := range sides {
-		prog := s.spec.Program(nil)
-		tgt := compiler.DefaultTarget(kcfg.PageSize, kcfg.UserMemPages)
-		tgt.Prefetch = mode.UsesPrefetch()
-		tgt.Release = mode.UsesRelease()
-		comp, err := compiler.Compile(prog, tgt)
-		if err != nil {
-			return nil, nil, fmt.Errorf("compile %s: %w", s.spec.Name, err)
-		}
-		img, err := comp.Bind(s.spec.Params)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bind %s: %w", s.spec.Name, err)
-		}
-		s.proc = sys.NewProcess(s.spec.Name, img.TotalPages)
-		var pm *pdpm.PM
-		if mode.UsesPrefetch() {
-			pm = s.proc.AttachPM(0)
-		}
-		layer := rt.New(s.proc, pm, rt.DefaultConfig(mode))
-		s.res = &PairResult{Bench: s.spec.Name, Mode: mode}
-		s.proc.Start(false, func(th *kernel.Thread) {
-			layer.Bind(th)
-			if err := img.Run(layer); err != nil {
-				runErrCh <- err
-			}
-		})
-	}
-
-	sys.Run(horizon)
-	select {
-	case err := <-runErrCh:
-		return nil, nil, err
-	default:
-	}
-	if err := sys.Audit(); err != nil {
+	if err := h.finish(specA.Name + "+" + specB.Name); err != nil {
 		return nil, nil, err
 	}
-	for _, s := range sides {
-		s.res.Elapsed = s.proc.Elapsed()
-		s.res.Done = s.proc.Done
-		s.res.Times = s.proc.Times
-		s.res.VM = s.proc.AS.Stats
-		s.res.Stolen = s.proc.AS.Stats.StolenPages
+	res := make([]*PairResult, len(specs))
+	for i, g := range hogs {
+		res[i] = &PairResult{
+			Bench:   specs[i].Name,
+			Mode:    cfg.Mode,
+			Elapsed: g.proc.Elapsed(),
+			Done:    g.proc.Done,
+			Times:   g.proc.Times,
+			VM:      g.proc.AS.Stats,
+		}
 	}
-	return sides[0].res, sides[1].res, nil
+	return res[0], res[1], nil
 }

@@ -3,16 +3,34 @@ package driver
 import (
 	"testing"
 
-	"memhogs/internal/kernel"
 	"memhogs/internal/rt"
 	"memhogs/internal/sim"
+	"memhogs/internal/workload"
 )
 
-func TestRunPairCompletes(t *testing.T) {
-	a, b, err := RunPair("matvec", "embar", rt.ModePrefetch, kernel.TestConfig(), true, 5*60*sim.Second)
+// testPair runs two scaled benchmarks against each other on the test
+// machine with a 5-minute horizon.
+func testPair(t *testing.T, nameA, nameB string, mode rt.Mode) (*PairResult, *PairResult) {
+	t.Helper()
+	specA, err := workload.ScaledByName(nameA)
 	if err != nil {
 		t.Fatal(err)
 	}
+	specB, err := workload.ScaledByName(nameB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TestRunConfig(mode)
+	cfg.Horizon = 5 * 60 * sim.Second
+	a, b, err := RunPair(specA, specB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+func TestRunPairCompletes(t *testing.T) {
+	a, b := testPair(t, "matvec", "embar", rt.ModePrefetch)
 	if !a.Done || !b.Done {
 		t.Fatalf("pair did not finish: %v / %v", a.Done, b.Done)
 	}
@@ -22,29 +40,15 @@ func TestRunPairCompletes(t *testing.T) {
 }
 
 func TestPairReleasingReducesMutualStealing(t *testing.T) {
-	kcfg := kernel.TestConfig()
-	horizon := 5 * 60 * sim.Second
-	pa, pb, err := RunPair("matvec", "mgrid", rt.ModePrefetch, kcfg, true, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, rb, err := RunPair("matvec", "mgrid", rt.ModeAggressive, kcfg, true, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stolenP := pa.Stolen + pb.Stolen
-	stolenR := ra.Stolen + rb.Stolen
+	pa, pb := testPair(t, "matvec", "mgrid", rt.ModePrefetch)
+	ra, rb := testPair(t, "matvec", "mgrid", rt.ModeAggressive)
+	stolenP := pa.VM.StolenPages + pb.VM.StolenPages
+	stolenR := ra.VM.StolenPages + rb.VM.StolenPages
 	if stolenR > stolenP/2 {
 		t.Fatalf("releasing did not cut mutual stealing: P=%d R=%d", stolenP, stolenR)
 	}
 	// And neither hog should get slower from the other's releases.
 	if ra.Elapsed > pa.Elapsed*12/10 {
 		t.Fatalf("matvec slower with releasing in the duel: %v vs %v", ra.Elapsed, pa.Elapsed)
-	}
-}
-
-func TestPairUnknownBenchmark(t *testing.T) {
-	if _, _, err := RunPair("nosuch", "embar", rt.ModeOriginal, kernel.TestConfig(), true, sim.Second); err == nil {
-		t.Fatal("unknown benchmark accepted")
 	}
 }

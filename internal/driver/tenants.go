@@ -5,11 +5,9 @@ import (
 	"sort"
 
 	"memhogs/internal/chaos"
-	"memhogs/internal/compiler"
 	"memhogs/internal/kernel"
 	"memhogs/internal/mem"
 	"memhogs/internal/pageout"
-	"memhogs/internal/pdpm"
 	"memhogs/internal/rt"
 	"memhogs/internal/sim"
 	"memhogs/internal/workload"
@@ -21,17 +19,17 @@ import (
 // machine. The deliverable is the job response-time tail (p50/p99/
 // p999), not a single-run mean — the metric reclaim sharding is
 // supposed to protect.
+//
+// The embedded RunConfig describes the machine and every hog (set
+// Kernel.Nodes for a sharded machine). Hogs always loop until the
+// horizon and the jobs replace the interactive task, so Repeat must be
+// true and InteractiveSleep negative.
 type TenantConfig struct {
-	Kernel kernel.Config // set Kernel.Nodes for a sharded machine
-	Mode   rt.Mode       // hog program version (O, P, R, B)
-	RT     rt.Config
+	RunConfig
 
 	// Hogs is how many copies of the benchmark run concurrently, each
 	// repeat-looping until the horizon.
 	Hogs int
-
-	// Params override the hog spec's full-size bindings (nil = full).
-	Params map[string]int64
 
 	// JobPages and JobPerPage shape one interactive job: it touches
 	// JobPages fresh pages, charging JobPerPage of compute per page,
@@ -45,36 +43,24 @@ type TenantConfig struct {
 	// of how loaded the machine gets (jobs arrive whether or not
 	// earlier jobs finished — that is what makes the tail honest).
 	MeanInterarrival sim.Time
-
-	Horizon sim.Time
-	Seed    uint64
-
-	// Cache, if non-nil, memoizes hog compilation across runs.
-	Cache *CompileCache
-
-	// OnSystem, Chaos, AuditEvery, AuditOnFault mirror RunConfig.
-	OnSystem     func(*kernel.System)
-	Chaos        *chaos.Plan
-	AuditEvery   sim.Time
-	AuditOnFault bool
+	Seed             uint64
 }
 
 // DefaultTenantConfig returns the paper-scale machine sharded into 4
 // nodes with two hogs and a 200 ms mean job arrival gap.
 func DefaultTenantConfig(mode rt.Mode) TenantConfig {
-	kcfg := kernel.DefaultConfig()
-	kcfg.Nodes = 4
-	return TenantConfig{
-		Kernel:           kcfg,
-		Mode:             mode,
-		RT:               rt.DefaultConfig(mode),
+	cfg := TenantConfig{
+		RunConfig:        DefaultRunConfig(mode),
 		Hogs:             2,
 		JobPages:         32,
 		JobPerPage:       15 * sim.Microsecond,
 		MeanInterarrival: 200 * sim.Millisecond,
-		Horizon:          60 * sim.Second,
 		Seed:             1,
 	}
+	cfg.Kernel.Nodes = 4
+	cfg.Repeat = true
+	cfg.Horizon = 60 * sim.Second
+	return cfg
 }
 
 // maxTenantJobs bounds the arrival schedule so a degenerate
@@ -125,109 +111,40 @@ func Percentile(sorted []sim.Time, q float64) sim.Time {
 
 // RunTenants executes one multi-tenant experiment.
 func RunTenants(spec *workload.Spec, cfg TenantConfig) (*TenantResult, error) {
-	if err := cfg.Kernel.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Hogs < 0 {
 		return nil, fmt.Errorf("tenants: negative hog count %d", cfg.Hogs)
 	}
 	if cfg.JobPages <= 0 || cfg.MeanInterarrival <= 0 || cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("tenants: JobPages, MeanInterarrival and Horizon must be positive")
 	}
-	params := cfg.Params
-	if params == nil {
-		params = spec.Params
+	if !cfg.Repeat || cfg.InteractiveSleep >= 0 {
+		return nil, fmt.Errorf("tenants: hogs loop until the horizon and jobs replace the interactive task; Repeat must be true and InteractiveSleep negative")
 	}
-	tgt := compiler.DefaultTarget(cfg.Kernel.PageSize, cfg.Kernel.UserMemPages)
-	tgt.Prefetch = cfg.Mode.UsesPrefetch()
-	tgt.Release = cfg.Mode.UsesRelease()
-	var comp *compiler.Compiled
-	var err error
-	if cfg.Cache != nil {
-		comp, err = cfg.Cache.Compile(spec, params, tgt)
-	} else {
-		comp, err = compiler.Compile(spec.Program(params), tgt)
-	}
+	comp, err := cfg.compile(spec)
 	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", spec.Name, err)
+		return nil, err
 	}
 
-	sys := kernel.NewSystem(cfg.Kernel)
-	if cfg.OnSystem != nil {
-		cfg.OnSystem(sys)
-	}
-
-	var auditErr error
-	audit := func() {
-		if auditErr != nil {
-			return
-		}
-		if err := sys.Audit(); err != nil {
-			auditErr = fmt.Errorf("at t=%v: %w", sys.Now(), err)
-			sys.Sim.Stop()
-		}
-	}
-	var inj *chaos.Injector
-	if cfg.Chaos != nil {
-		inj = chaos.NewInjector(sys.Sim, sys.Events, *cfg.Chaos)
-		sys.SetChaos(inj)
-		maxOff := cfg.Kernel.UserMemPages - 2*cfg.Kernel.TargetFreePages
-		if maxOff < 0 {
-			maxOff = 0
-		}
-		inj.ScheduleMem(sys.Phys, maxOff, sys.KickDaemons)
-		if cfg.AuditOnFault {
-			inj.OnFault = func(chaos.Site) { audit() }
-		}
-	}
-	auditTicks := 0
-	if cfg.AuditEvery > 0 {
-		var tick func()
-		tick = func() {
-			audit()
-			auditTicks++
-			if auditErr == nil {
-				sys.Sim.At(sys.Now()+cfg.AuditEvery, tick)
-			}
-		}
-		sys.Sim.At(cfg.AuditEvery, tick)
-	}
-
+	h := boot(cfg.RunConfig)
+	sys := h.sys
 	res := &TenantResult{
 		Bench: spec.Name,
 		Mode:  cfg.Mode,
 		Nodes: sys.Phys.Nodes(),
 		Hogs:  cfg.Hogs,
 	}
-	runErrCh := make(chan error, cfg.Hogs)
 
 	// The hog population: each hog is its own process (so home-node
 	// placement spreads them round-robin) with its own bound image and
 	// run-time layer, looping until the horizon.
-	for h := 0; h < cfg.Hogs; h++ {
-		img, err := comp.Bind(params)
+	hogs := make([]*hog, cfg.Hogs)
+	for i := range hogs {
+		img, err := comp.Bind(cfg.Params)
 		if err != nil {
 			return nil, fmt.Errorf("bind %s: %w", spec.Name, err)
 		}
-		proc := sys.NewProcess(fmt.Sprintf("hog%d", h), img.TotalPages)
-		var pm *pdpm.PM
-		if cfg.Mode.UsesPrefetch() {
-			pm = proc.AttachPM(0)
-		}
-		layer := rt.New(proc, pm, cfg.RT)
-		proc.Start(false, func(th *kernel.Thread) {
-			layer.Bind(th)
-			for {
-				if err := img.Run(layer); err != nil {
-					runErrCh <- err
-					return
-				}
-				res.HogRuns++
-				if cfg.Horizon > 0 && th.Now() >= cfg.Horizon {
-					return
-				}
-			}
-		})
+		hogs[i] = h.newHog(fmt.Sprintf("hog%d", i), img)
+		h.start(hogs[i], false)
 	}
 
 	// The open-loop arrival schedule is drawn up front from its own
@@ -256,16 +173,13 @@ func RunTenants(spec *workload.Spec, cfg TenantConfig) (*TenantResult, error) {
 		})
 	}
 
-	sys.Run(cfg.Horizon)
-	select {
-	case err := <-runErrCh:
-		return nil, fmt.Errorf("run %s: %w", spec.Name, err)
-	default:
-	}
-	if auditErr != nil {
-		return nil, fmt.Errorf("audit %s: %w", spec.Name, auditErr)
+	if err := h.finish(spec.Name); err != nil {
+		return nil, err
 	}
 
+	for _, g := range hogs {
+		res.HogRuns += g.runs
+	}
 	sort.Slice(responses, func(a, b int) bool { return responses[a] < responses[b] })
 	res.P50 = Percentile(responses, 0.50)
 	res.P99 = Percentile(responses, 0.99)
@@ -277,11 +191,7 @@ func RunTenants(spec *workload.Spec, cfg TenantConfig) (*TenantResult, error) {
 	res.Daemon = sys.DaemonStats()
 	res.Releaser = sys.ReleaserStats()
 	res.Balancer = sys.BalancerStats()
-	res.Chaos = inj.Counts()
-	res.AuditTicks = auditTicks
-	// Every run doubles as a whole-system consistency check.
-	if err := sys.Audit(); err != nil {
-		return nil, err
-	}
+	res.Chaos = h.inj.Counts()
+	res.AuditTicks = h.auditTicks
 	return res, nil
 }

@@ -137,3 +137,32 @@ func TestRunTenantsAuditUnderNodeScopedUnplug(t *testing.T) {
 		t.Fatal("cadence audit never ran")
 	}
 }
+
+// TestRunTenantsSchedulesFarUnplug runs the far fault class on a
+// sharded machine with a far tier. Its timed far-shrink and far-grow
+// faults are scheduled by the shared boot step, exactly as for Run; a
+// tenants-only copy of that step once scheduled memory unplug but not
+// far-tier unplug, so only the probabilistic far faults fired.
+func TestRunTenantsSchedulesFarUnplug(t *testing.T) {
+	spec, err := workload.ScaledByName("fftpde")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := chaos.ClassPlan("far", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testTenantConfig()
+	cfg.Mode = rt.ModeBuffered
+	cfg.RT = rt.DefaultConfig(rt.ModeBuffered)
+	cfg.Kernel.UserMemPages -= 64
+	cfg.Kernel.Far.Pages = 64
+	cfg.Chaos = &plan
+	res, err := RunTenants(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Chaos.Get(chaos.FarShrink) == 0 || res.Chaos.Get(chaos.FarGrow) == 0 {
+		t.Fatalf("far-tier unplug did not fire: %+v", res.Chaos.Map())
+	}
+}

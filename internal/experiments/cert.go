@@ -150,10 +150,12 @@ func RunCertCrossValidation(o Opts) (*CertCrossValidation, error) {
 					run: func() error {
 						// The certificate interprets the same compilation the
 						// run executes, against the same split budget.
-						dram, far := ratio.Split(kcfg.UserMemPages)
-						tgt := compiler.DefaultTarget(kcfg.PageSize, dram)
-						tgt.Prefetch = mode.UsesPrefetch()
-						tgt.Release = mode.UsesRelease()
+						cfg := o.tieringConfig(mode, ratio, cache)
+						cfg.OnSystem = func(sys *kernel.System) {
+							sys.SetEvents(events.New(sys.Sim, 1<<16))
+						}
+						dram, far := cfg.Kernel.UserMemPages, cfg.Kernel.Far.Pages
+						tgt := driver.Target(cfg.Kernel, mode)
 						comp, err := cache.Compile(spec, nil, tgt)
 						if err != nil {
 							return fmt.Errorf("compile %s: %w", spec.Name, err)
@@ -177,11 +179,6 @@ func RunCertCrossValidation(o Opts) (*CertCrossValidation, error) {
 							}
 						}
 
-						cfg := o.tieringConfig(mode, ratio)
-						cfg.Cache = cache
-						cfg.OnSystem = func(sys *kernel.System) {
-							sys.SetEvents(events.New(sys.Sim, 1<<16))
-						}
 						r, err := driver.Run(spec, cfg)
 						if err != nil {
 							return fmt.Errorf("certify %s/%s@%s: %w", spec.Name, mode, ratio, err)

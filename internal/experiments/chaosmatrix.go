@@ -79,17 +79,10 @@ func RunChaosMatrix(o Opts, seed uint64) (*ChaosMatrix, error) {
 						if err != nil {
 							return err
 						}
-						cfg := driver.RunConfig{
-							Kernel:           o.kernelConfig(),
-							Mode:             mode,
-							RT:               rt.DefaultConfig(mode),
-							Horizon:          o.completionHorizon(),
-							InteractiveSleep: -1,
-							Cache:            cache,
-							Chaos:            &plan,
-							AuditEvery:       o.chaosAuditEvery(),
-							AuditOnFault:     true,
-						}
+						cfg := o.runConfig(mode, cache)
+						cfg.Chaos = &plan
+						cfg.AuditEvery = o.chaosAuditEvery()
+						cfg.AuditOnFault = true
 						// The far class aims its faults at the far
 						// tier, so its cells must run with one: split
 						// the budget 3:1 like the tiering campaign's

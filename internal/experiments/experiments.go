@@ -111,6 +111,17 @@ func (o Opts) completionHorizon() sim.Time {
 	return 30 * 60 * sim.Second
 }
 
+// runConfig is the base config every campaign run starts from: the
+// campaign's machine, run to completion within its horizon, no
+// interactive task, compiling through the campaign's shared cache.
+func (o Opts) runConfig(mode rt.Mode, cache *driver.CompileCache) driver.RunConfig {
+	cfg := driver.DefaultRunConfig(mode)
+	cfg.Kernel = o.kernelConfig()
+	cfg.Horizon = o.completionHorizon()
+	cfg.Cache = cache
+	return cfg
+}
+
 func (o Opts) kernelConfig() kernel.Config {
 	if o.Scaled {
 		return kernel.TestConfig()
@@ -181,14 +192,8 @@ func RunVersions(o Opts) (*Versions, error) {
 			jobs = append(jobs, job{
 				label: fmt.Sprintf("versions %s/%s", spec.Name, mode),
 				run: func() error {
-					cfg := driver.RunConfig{
-						Kernel:           o.kernelConfig(),
-						Mode:             mode,
-						RT:               rt.DefaultConfig(mode),
-						Horizon:          o.completionHorizon(),
-						InteractiveSleep: o.Sleep,
-						Cache:            cache,
-					}
+					cfg := o.runConfig(mode, cache)
+					cfg.InteractiveSleep = o.Sleep
 					r, err := driver.Run(spec, cfg)
 					if err != nil {
 						return fmt.Errorf("%s/%s: %w", spec.Name, mode, err)
@@ -253,15 +258,10 @@ func RunInteractive(o Opts) (*Interactive, error) {
 			jobs = append(jobs, job{
 				label: fmt.Sprintf("interactive %s/%s", spec.Name, mode),
 				run: func() error {
-					cfg := driver.RunConfig{
-						Kernel:           o.kernelConfig(),
-						Mode:             mode,
-						RT:               rt.DefaultConfig(mode),
-						Repeat:           true,
-						Horizon:          o.Horizon,
-						InteractiveSleep: o.Sleep,
-						Cache:            cache,
-					}
+					cfg := o.runConfig(mode, cache)
+					cfg.Repeat = true
+					cfg.Horizon = o.Horizon
+					cfg.InteractiveSleep = o.Sleep
 					r, err := driver.Run(spec, cfg)
 					if err != nil {
 						return fmt.Errorf("%s/%s: %w", spec.Name, mode, err)
@@ -352,15 +352,10 @@ func RunSweep(o Opts) (*Sweep, error) {
 			jobs = append(jobs, job{
 				label: fmt.Sprintf("sweep sleep=%v %s", sleep, mode),
 				run: func() error {
-					cfg := driver.RunConfig{
-						Kernel:           o.kernelConfig(),
-						Mode:             mode,
-						RT:               rt.DefaultConfig(mode),
-						Repeat:           true,
-						Horizon:          horizon,
-						InteractiveSleep: sleep,
-						Cache:            cache,
-					}
+					cfg := o.runConfig(mode, cache)
+					cfg.Repeat = true
+					cfg.Horizon = horizon
+					cfg.InteractiveSleep = sleep
 					r, err := driver.Run(spec, cfg)
 					if err != nil {
 						return fmt.Errorf("sweep %s sleep=%v: %w", mode, sleep, err)

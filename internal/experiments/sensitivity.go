@@ -47,17 +47,9 @@ func RunSensitivity(o Opts, bench string, fractions []float64) (*Sensitivity, er
 	// Discover the data size from a probe run's compile stats. The
 	// probe is a sequencing point: every sweep cell needs dataPages,
 	// so only the (fraction × mode) grid behind it is parallelized.
-	kcfg := o.kernelConfig()
 	cache := driver.NewCompileCache()
 	sink := newProgressSink(o.Progress)
-	probe, err := driver.Run(spec, driver.RunConfig{
-		Kernel:           kcfg,
-		Mode:             rt.ModeOriginal,
-		RT:               rt.DefaultConfig(rt.ModeOriginal),
-		Horizon:          o.completionHorizon(),
-		InteractiveSleep: -1,
-		Cache:            cache,
-	})
+	probe, err := driver.Run(spec, o.runConfig(rt.ModeOriginal, cache))
 	if err != nil {
 		return nil, err
 	}
@@ -85,14 +77,7 @@ func RunSensitivity(o Opts, bench string, fractions []float64) (*Sensitivity, er
 			jobs = append(jobs, job{
 				label: fmt.Sprintf("sensitivity %s mem=%dp %s", bench, pages, mode),
 				run: func() error {
-					cfg := driver.RunConfig{
-						Kernel:           kcfg,
-						Mode:             mode,
-						RT:               rt.DefaultConfig(mode),
-						Horizon:          o.completionHorizon(),
-						InteractiveSleep: -1,
-						Cache:            cache,
-					}
+					cfg := o.runConfig(mode, cache)
 					cfg.Kernel.UserMemPages = pages
 					// Keep the daemon thresholds proportionate.
 					cfg.Kernel.MinFreePages = pages / 64

@@ -37,12 +37,11 @@ type MultiTenant struct {
 }
 
 // tenantConfig derives the per-run config from campaign options.
-func (o Opts) tenantConfig(mode rt.Mode) driver.TenantConfig {
+func (o Opts) tenantConfig(mode rt.Mode, cache *driver.CompileCache) driver.TenantConfig {
 	cfg := driver.DefaultTenantConfig(mode)
 	cfg.Kernel = o.kernelConfig()
 	cfg.Kernel.Nodes = tenantNodes
-	cfg.Mode = mode
-	cfg.RT = rt.DefaultConfig(mode)
+	cfg.Cache = cache
 	cfg.Hogs = tenantHogs
 	cfg.Horizon = o.Horizon
 	if o.Scaled {
@@ -81,9 +80,7 @@ func RunMultiTenant(o Opts) (*MultiTenant, error) {
 			jobs = append(jobs, job{
 				label: fmt.Sprintf("tenants %s/%s", spec.Name, mode),
 				run: func() error {
-					cfg := o.tenantConfig(mode)
-					cfg.Cache = cache
-					r, err := driver.RunTenants(spec, cfg)
+					r, err := driver.RunTenants(spec, o.tenantConfig(mode, cache))
 					if err != nil {
 						return fmt.Errorf("tenants %s/%s: %w", spec.Name, mode, err)
 					}

@@ -54,12 +54,8 @@ type Tiering struct {
 
 // tieringConfig derives one cell's run config: the machine's total
 // memory budget is held fixed and split DRAM:far by the ratio.
-func (o Opts) tieringConfig(mode rt.Mode, ratio TierRatio) driver.RunConfig {
-	cfg := driver.DefaultRunConfig(mode)
-	cfg.Kernel = o.kernelConfig()
-	cfg.Mode = mode
-	cfg.RT = rt.DefaultConfig(mode)
-	cfg.Horizon = o.completionHorizon()
+func (o Opts) tieringConfig(mode rt.Mode, ratio TierRatio, cache *driver.CompileCache) driver.RunConfig {
+	cfg := o.runConfig(mode, cache)
 	dram, far := ratio.Split(cfg.Kernel.UserMemPages)
 	cfg.Kernel.UserMemPages = dram
 	cfg.Kernel.Far.Pages = far
@@ -94,8 +90,7 @@ func RunTiering(o Opts) (*Tiering, error) {
 				jobs = append(jobs, job{
 					label: fmt.Sprintf("tiering %s/%s@%s", spec.Name, mode, ratio),
 					run: func() error {
-						cfg := o.tieringConfig(mode, ratio)
-						cfg.Cache = cache
+						cfg := o.tieringConfig(mode, ratio, cache)
 						r, err := driver.Run(spec, cfg)
 						if err != nil {
 							return fmt.Errorf("tiering %s/%s@%s: %w", spec.Name, mode, ratio, err)

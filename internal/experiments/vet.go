@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"memhogs/internal/compiler"
 	"memhogs/internal/driver"
 	"memhogs/internal/hogvet"
 	"memhogs/internal/metrics"
@@ -70,7 +69,6 @@ func RunVetCrossValidation(o Opts) (*VetCrossValidation, error) {
 	if err != nil {
 		return nil, err
 	}
-	kcfg := o.kernelConfig()
 	cv := &VetCrossValidation{
 		Opts:    o,
 		Reports: map[string]hogvet.Diagnostics{},
@@ -86,25 +84,15 @@ func RunVetCrossValidation(o Opts) (*VetCrossValidation, error) {
 		jobs = append(jobs, job{
 			label: fmt.Sprintf("vet %s", spec.Name),
 			run: func() error {
-				// The default target equals the Buffered run's target
-				// (prefetch and release both on), so the verified
-				// schedule and the executed schedule are one cached
-				// compilation.
-				tgt := compiler.DefaultTarget(kcfg.PageSize, kcfg.UserMemPages)
-				comp, err := cache.Compile(spec, nil, tgt)
+				// The verified schedule and the executed schedule are
+				// one cached compilation: the Buffered run's target.
+				cfg := o.runConfig(rt.ModeBuffered, cache)
+				comp, err := cache.Compile(spec, nil, driver.Target(cfg.Kernel, cfg.Mode))
 				if err != nil {
 					return fmt.Errorf("compile %s: %w", spec.Name, err)
 				}
 				reports[i] = hogvet.Vet(comp)
 
-				cfg := driver.RunConfig{
-					Kernel:           kcfg,
-					Mode:             rt.ModeBuffered,
-					RT:               rt.DefaultConfig(rt.ModeBuffered),
-					Horizon:          o.completionHorizon(),
-					InteractiveSleep: -1,
-					Cache:            cache,
-				}
 				r, err := driver.Run(spec, cfg)
 				if err != nil {
 					return fmt.Errorf("%s/B: %w", spec.Name, err)

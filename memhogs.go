@@ -151,11 +151,7 @@ func Compile(source string, m Machine, v Version) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := m.kernelConfig()
-	tgt := compiler.DefaultTarget(cfg.PageSize, cfg.UserMemPages)
-	tgt.Prefetch = v.mode().UsesPrefetch()
-	tgt.Release = v.mode().UsesRelease()
-	comp, err := compiler.Compile(prog, tgt)
+	comp, err := compiler.Compile(prog, driver.Target(m.kernelConfig(), v.mode()))
 	if err != nil {
 		return nil, err
 	}
@@ -391,24 +387,25 @@ func report(name string, v Version, res *driver.Result) *Report {
 	}
 }
 
+// config maps the options onto the driver's base configuration for
+// one version on one machine.
+func (o RunOptions) config(m Machine, v Version) driver.RunConfig {
+	cfg := driver.DefaultRunConfig(v.mode())
+	cfg.Kernel = m.kernelConfig()
+	cfg.Params = o.Params
+	if o.InteractiveSleepMS >= 0 {
+		cfg.InteractiveSleep = sim.Time(o.InteractiveSleepMS) * sim.Millisecond
+	}
+	if o.RepeatSeconds > 0 {
+		cfg.Repeat = true
+		cfg.Horizon = sim.Time(o.RepeatSeconds) * sim.Second
+	}
+	return cfg
+}
+
 // Run executes the compiled program on its machine.
 func (p *Program) Run(opts RunOptions) (*Report, error) {
-	cfg := driver.RunConfig{
-		Kernel:           p.mach.kernelConfig(),
-		Mode:             p.ver.mode(),
-		RT:               rt.DefaultConfig(p.ver.mode()),
-		Params:           opts.Params,
-		Horizon:          30 * 60 * sim.Second,
-		InteractiveSleep: -1,
-	}
-	if opts.InteractiveSleepMS >= 0 {
-		cfg.InteractiveSleep = sim.Time(opts.InteractiveSleepMS) * sim.Millisecond
-	}
-	if opts.RepeatSeconds > 0 {
-		cfg.Repeat = true
-		cfg.Horizon = sim.Time(opts.RepeatSeconds) * sim.Second
-	}
-	res, err := driver.RunCompiled(p.name, p.comp, cfg)
+	res, err := driver.RunCompiled(p.name, p.comp, opts.config(p.mach, p.ver))
 	if err != nil {
 		return nil, err
 	}
@@ -453,22 +450,7 @@ func RunBenchmarkOpts(name string, v Version, m Machine, opts RunOptions) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	cfg := driver.RunConfig{
-		Kernel:           m.kernelConfig(),
-		Mode:             v.mode(),
-		RT:               rt.DefaultConfig(v.mode()),
-		Params:           opts.Params,
-		Horizon:          30 * 60 * sim.Second,
-		InteractiveSleep: -1,
-	}
-	if opts.InteractiveSleepMS >= 0 {
-		cfg.InteractiveSleep = sim.Time(opts.InteractiveSleepMS) * sim.Millisecond
-	}
-	if opts.RepeatSeconds > 0 {
-		cfg.Repeat = true
-		cfg.Horizon = sim.Time(opts.RepeatSeconds) * sim.Second
-	}
-	res, err := driver.Run(spec, cfg)
+	res, err := driver.Run(spec, opts.config(m, v))
 	if err != nil {
 		return nil, err
 	}
@@ -567,14 +549,21 @@ func Duel(benchA, benchB string, m Machine) (string, error) {
 	fmt.Fprintf(&b, "duel: %s vs %s\n", benchA, benchB)
 	fmt.Fprintf(&b, "%-8s %14s %14s %12s %12s\n", "version",
 		benchA+" time", benchB+" time", "stolen(A)", "stolen(B)")
-	horizon := 30 * 60 * sim.Second
+	specA, err := specFor(benchA, m)
+	if err != nil {
+		return "", err
+	}
+	specB, err := specFor(benchB, m)
+	if err != nil {
+		return "", err
+	}
 	for _, v := range Versions() {
-		ra, rb, err := driver.RunPair(benchA, benchB, v.mode(), m.kernelConfig(), m.Scaled, horizon)
+		ra, rb, err := driver.RunPair(specA, specB, RunOptions{InteractiveSleepMS: -1}.config(m, v))
 		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "%-8s %14s %14s %12d %12d\n",
-			v.String(), ra.Elapsed.String(), rb.Elapsed.String(), ra.Stolen, rb.Stolen)
+			v.String(), ra.Elapsed.String(), rb.Elapsed.String(), ra.VM.StolenPages, rb.VM.StolenPages)
 	}
 	b.WriteString("Expected shape: with releasing (R/B) the hogs stop stealing from each other.\n")
 	return b.String(), nil
@@ -646,21 +635,10 @@ func Timeline(name string, v Version, m Machine, seconds int, sleepMS int) (stri
 	if seconds <= 0 {
 		seconds = 20
 	}
-	horizon := sim.Time(seconds) * sim.Second
+	cfg := RunOptions{InteractiveSleepMS: sleepMS, RepeatSeconds: seconds}.config(m, v)
 	var rec *trace.Recorder
-	cfg := driver.RunConfig{
-		Kernel:           m.kernelConfig(),
-		Mode:             v.mode(),
-		RT:               rt.DefaultConfig(v.mode()),
-		Repeat:           true,
-		Horizon:          horizon,
-		InteractiveSleep: -1,
-		OnSystem: func(sys *kernel.System) {
-			rec = trace.Attach(sys, horizon/60)
-		},
-	}
-	if sleepMS >= 0 {
-		cfg.InteractiveSleep = sim.Time(sleepMS) * sim.Millisecond
+	cfg.OnSystem = func(sys *kernel.System) {
+		rec = trace.Attach(sys, cfg.Horizon/60)
 	}
 	if _, err := driver.Run(spec, cfg); err != nil {
 		return "", err
@@ -699,24 +677,15 @@ func Trace(name string, v Version, m Machine, seconds int, sleepMS int) (*TraceR
 	if err != nil {
 		return nil, err
 	}
-	horizon := 30 * 60 * sim.Second
+	// A positive seconds bounds the single run; it does not loop it.
+	cfg := RunOptions{InteractiveSleepMS: sleepMS}.config(m, v)
 	if seconds > 0 {
-		horizon = sim.Time(seconds) * sim.Second
+		cfg.Horizon = sim.Time(seconds) * sim.Second
 	}
 	var rec *events.Recorder
-	cfg := driver.RunConfig{
-		Kernel:           m.kernelConfig(),
-		Mode:             v.mode(),
-		RT:               rt.DefaultConfig(v.mode()),
-		Horizon:          horizon,
-		InteractiveSleep: -1,
-		OnSystem: func(sys *kernel.System) {
-			rec = events.New(sys.Sim, traceCapacity)
-			sys.SetEvents(rec)
-		},
-	}
-	if sleepMS >= 0 {
-		cfg.InteractiveSleep = sim.Time(sleepMS) * sim.Millisecond
+	cfg.OnSystem = func(sys *kernel.System) {
+		rec = events.New(sys.Sim, traceCapacity)
+		sys.SetEvents(rec)
 	}
 	res, err := driver.Run(spec, cfg)
 	if err != nil {
@@ -840,16 +809,10 @@ func Chaos(name string, v Version, m Machine, opts ChaosOptions) (*ChaosReport, 
 	if opts.AuditEveryMS > 0 {
 		auditEvery = sim.Time(opts.AuditEveryMS) * sim.Millisecond
 	}
-	cfg := driver.RunConfig{
-		Kernel:           m.kernelConfig(),
-		Mode:             v.mode(),
-		RT:               rt.DefaultConfig(v.mode()),
-		Horizon:          30 * 60 * sim.Second,
-		InteractiveSleep: -1,
-		Chaos:            &plan,
-		AuditEvery:       auditEvery,
-		AuditOnFault:     true,
-	}
+	cfg := RunOptions{InteractiveSleepMS: opts.InteractiveSleepMS, RepeatSeconds: opts.Seconds}.config(m, v)
+	cfg.Chaos = &plan
+	cfg.AuditEvery = auditEvery
+	cfg.AuditOnFault = true
 	// A plan that arms far-tier sites needs a far tier to hit: split
 	// the budget 3:1, exactly like the chaos matrix's far cells.
 	// Other plans keep the all-DRAM machine.
@@ -857,13 +820,6 @@ func Chaos(name string, v Version, m Machine, opts ChaosOptions) (*ChaosReport, 
 		dram, far := (experiments.TierRatio{DRAM: 3, Far: 1}).Split(cfg.Kernel.UserMemPages)
 		cfg.Kernel.UserMemPages = dram
 		cfg.Kernel.Far.Pages = far
-	}
-	if opts.InteractiveSleepMS >= 0 {
-		cfg.InteractiveSleep = sim.Time(opts.InteractiveSleepMS) * sim.Millisecond
-	}
-	if opts.Seconds > 0 {
-		cfg.Repeat = true
-		cfg.Horizon = sim.Time(opts.Seconds) * sim.Second
 	}
 	res, err := driver.Run(spec, cfg)
 	if err != nil {
