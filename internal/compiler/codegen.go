@@ -22,9 +22,13 @@ type xloop struct {
 	dirs   []*xdir
 	strip  *stripPlan
 
-	// Slot-resolved forms, filled by finalize.
+	// Slot-resolved forms, filled by finalize. streams lists the
+	// affine references that open an address stream at loop entry:
+	// the loop's own affine directives and the affine sites of its
+	// own assignments, each holding its index here in xref.stream.
 	vSlot    int32
 	clo, chi cscalar
+	streams  []*xref
 }
 
 func (*xloop) isX() {}
@@ -51,19 +55,29 @@ type xcall struct {
 
 func (*xcall) isX() {}
 
-// accessSite is one dynamic memory access point.
-type accessSite struct {
-	id    int
-	arr   *lang.Array
-	lin   *lang.Affine  // nil for indirect
-	ind   *indirectSpec // the a[b[i]] form
-	elem  int
-	write bool
+// xref is one address expression the executor follows: an affine
+// element offset or the a[b[i]] form, shared by access sites and
+// directives.
+type xref struct {
+	arr  *lang.Array
+	lin  *lang.Affine  // nil for indirect
+	ind  *indirectSpec // the a[b[i]] form
+	elem int
 
 	// Slot-resolved forms, filled by finalize: clin mirrors lin, cidx
-	// mirrors ind.idxLin.
-	clin caffine
-	cidx caffine
+	// mirrors ind.idxLin. stream indexes the owning loop's address
+	// streams; -1 for indirect references and for assignments outside
+	// every loop, which are evaluated where they run.
+	clin   caffine
+	cidx   caffine
+	stream int32
+}
+
+// accessSite is one dynamic memory access point.
+type accessSite struct {
+	id int
+	xref
+	write bool
 }
 
 // dirKind distinguishes prefetch from release directives.
@@ -91,25 +105,18 @@ type xdir struct {
 
 	gates []string // loop vars that must all be at their first iteration
 
-	arr     *lang.Array
-	lin     *lang.Affine
-	ind     *indirectSpec
-	elem    int
+	xref
 	loopVar string
 
-	// Slot-resolved forms, filled by finalize: clin mirrors lin, cidx
-	// mirrors ind.idxLin.
-	clin        caffine
-	cidx        caffine
+	// Slot-resolved forms, filled by finalize.
 	loopVarSlot int32
 	gateSlots   []int32
 }
 
 // stripPlan marks an innermost all-affine loop for strip-mode
-// execution.
+// execution; cost is the body's cost per iteration.
 type stripPlan struct {
-	cost  float64
-	sites []*accessSite
+	cost float64
 }
 
 // placeDirectives decides, per group, the prefetch (leader) and
@@ -132,7 +139,7 @@ func (na *nestAnalysis) placeDirectives() map[*loopNode][]*xdir {
 				kind:       dirPf,
 				pagesAhead: na.prefetchPages(r),
 				gates:      gateVars(r),
-				arr:        r.arr, lin: r.lin, elem: r.elem,
+				xref:       xref{arr: r.arr, lin: r.lin, elem: r.elem},
 			}
 			na.cc.c.Stats.PrefetchDirs++
 			attach(r.driving, d)
@@ -172,7 +179,7 @@ func (na *nestAnalysis) placeDirectives() map[*loopNode][]*xdir {
 				tag:  na.cc.c.newTag(),
 				kind: dirRel,
 				prio: prio,
-				arr:  r.arr, lin: r.lin, elem: r.elem,
+				xref: xref{arr: r.arr, lin: r.lin, elem: r.elem},
 			}
 			na.cc.c.Stats.ReleaseDirs++
 			attach(r.driving, d)
@@ -202,7 +209,7 @@ func (na *nestAnalysis) placeDirectives() map[*loopNode][]*xdir {
 				tag:        na.cc.c.newTag(),
 				kind:       dirPf,
 				itersAhead: na.iterDistance(r),
-				arr:        r.arr, ind: r.ind, elem: r.elem,
+				xref:       xref{arr: r.arr, ind: r.ind, elem: r.elem},
 			}
 			na.cc.c.Stats.PrefetchDirs++
 			attach(r.driving, d)
@@ -348,35 +355,22 @@ func (cc *compileCtx) emitLoop(na *nestAnalysis, n *loopNode, dirs map[*loopNode
 			return nil, fmt.Errorf("unsupported statement %T in loop", s)
 		}
 	}
-	// Strip mode: innermost, all body statements are assigns with
-	// affine sites, and all attached directives are affine.
+	// Strip mode: innermost (so the body is all assignments), with
+	// sites and no indirect reference.
 	if len(n.children) == 0 {
-		eligible := true
-		plan := &stripPlan{}
+		plan, sites, eligible := &stripPlan{}, 0, true
 		for _, s := range xl.body {
-			xa, ok := s.(*xassign)
-			if !ok {
-				eligible = false
-				break
-			}
+			xa := s.(*xassign)
 			plan.cost += xa.cost
+			sites += len(xa.sites)
 			for _, site := range xa.sites {
-				if site.ind != nil {
-					eligible = false
-					break
-				}
-				plan.sites = append(plan.sites, site)
-			}
-			if !eligible {
-				break
+				eligible = eligible && site.ind == nil
 			}
 		}
 		for _, d := range xl.dirs {
-			if d.ind != nil {
-				eligible = false
-			}
+			eligible = eligible && d.ind == nil
 		}
-		if eligible && len(plan.sites) > 0 {
+		if eligible && sites > 0 {
 			xl.strip = plan
 		}
 	}
@@ -395,11 +389,11 @@ func (cc *compileCtx) compileAssign(a *lang.Assign, _ *nestAnalysis) (*xassign, 
 		}
 		if ind != nil {
 			xa.sites = append(xa.sites,
-				&accessSite{id: cc.c.newSite(), arr: ind.idxArr, lin: ind.idxLin, elem: ind.idxArr.ElemSize},
-				&accessSite{id: cc.c.newSite(), arr: r.Array, ind: ind, elem: r.Array.ElemSize, write: r.Write})
+				&accessSite{id: cc.c.newSite(), xref: xref{arr: ind.idxArr, lin: ind.idxLin, elem: ind.idxArr.ElemSize}},
+				&accessSite{id: cc.c.newSite(), xref: xref{arr: r.Array, ind: ind, elem: r.Array.ElemSize}, write: r.Write})
 		} else {
 			xa.sites = append(xa.sites,
-				&accessSite{id: cc.c.newSite(), arr: r.Array, lin: lin, elem: r.Array.ElemSize, write: r.Write})
+				&accessSite{id: cc.c.newSite(), xref: xref{arr: r.Array, lin: lin, elem: r.Array.ElemSize}, write: r.Write})
 		}
 	}
 	return xa, nil

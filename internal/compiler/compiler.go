@@ -119,6 +119,8 @@ type Compiled struct {
 	// over flat vectors instead of a string-keyed map (see slots.go).
 	slots     map[string]int32
 	slotNames []string
+
+	indirect []*xref // every a[b[i]] reference, in finalize order
 }
 
 // NumTags returns the number of distinct hint tags (request

@@ -97,38 +97,12 @@ func (c *Compiled) Bind(params map[string]int64) (*Image, error) {
 		}
 	}
 	// Every indirection array must be able to produce values.
-	if err := c.checkIndirectData(c.Main); err != nil {
-		return nil, err
-	}
-	for _, body := range c.procs {
-		if err := c.checkIndirectData(body); err != nil {
-			return nil, err
+	for _, x := range c.indirect {
+		if x.ind.idxArr.Data == nil {
+			return nil, fmt.Errorf("compiler: index array %s has no data generator", x.ind.idxArr.Name)
 		}
 	}
 	return img, nil
-}
-
-func (c *Compiled) checkIndirectData(body []xstmt) error {
-	for _, s := range body {
-		switch x := s.(type) {
-		case *xloop:
-			for _, d := range x.dirs {
-				if d.ind != nil && d.ind.idxArr.Data == nil {
-					return fmt.Errorf("compiler: index array %s has no data generator", d.ind.idxArr.Name)
-				}
-			}
-			if err := c.checkIndirectData(x.body); err != nil {
-				return err
-			}
-		case *xassign:
-			for _, site := range x.sites {
-				if site.ind != nil && site.ind.idxArr.Data == nil {
-					return fmt.Errorf("compiler: index array %s has no data generator", site.ind.idxArr.Name)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // PageRange returns the [first, last] virtual pages of an array.
@@ -144,6 +118,10 @@ func (img *Image) byteOf(a *lang.Array, elem int64) int64 {
 
 // Run executes the bound program against the run-time layer.
 func (img *Image) Run(h Hints) error {
+	return img.newRunner(h).stmts(img.C.Main)
+}
+
+func (img *Image) newRunner(h Hints) *runner {
 	r := &runner{
 		img:      img,
 		h:        h,
@@ -159,13 +137,16 @@ func (img *Image) Run(h Hints) error {
 	for i := range r.siteLast {
 		r.siteLast[i] = -1
 	}
-	return r.stmts(img.C.Main)
+	return r
 }
 
 // runner is the per-run interpreter state. Scalars live in flat
 // slot-indexed vectors (see slots.go): vals/bound mirror what the old
 // lang.Env map held (bound[s] false = name absent), isFirst tracks the
 // first-iteration flag per loop variable for prefetch gating.
+//
+// streams is the run-wide stack of address streams, one frame per
+// active loop; frame is the first stream of the innermost one.
 type runner struct {
 	img      *Image
 	h        Hints
@@ -175,6 +156,15 @@ type runner struct {
 	dirLast  []int64
 	siteLast []int64
 	scratch  []int64
+	streams  []stream
+	frame    int
+}
+
+// stream is one affine reference followed through a loop: its byte
+// position at the current iteration and its advance per iteration.
+type stream struct {
+	pos   int64
+	delta int64
 }
 
 func (r *runner) stmts(list []xstmt) error {
@@ -220,6 +210,11 @@ func (r *runner) call(c *xcall) error {
 	return err
 }
 
+// loop is the one loop executor. At entry every affine reference of the
+// loop opens an address stream; each step then reads affine pages from
+// the streams and evaluates only indirect references. A strip-mode loop
+// steps from page crossing to page crossing, any other loop one
+// iteration at a time.
 func (r *runner) loop(l *xloop) error {
 	lo, err := r.evalScalar(&l.clo)
 	if err != nil {
@@ -233,52 +228,160 @@ func (r *runner) loop(l *xloop) error {
 		return nil
 	}
 	s := l.vSlot
-	savedVal, had := r.vals[s], r.bound[s]
-	savedFirst := r.isFirst[s]
+	savedVal, had, savedFirst := r.vals[s], r.bound[s], r.isFirst[s]
+	outer, base := r.frame, len(r.streams)
 	defer func() {
-		r.vals[s] = savedVal
-		r.bound[s] = had
-		r.isFirst[s] = savedFirst
+		r.vals[s], r.bound[s], r.isFirst[s] = savedVal, had, savedFirst
+		r.streams, r.frame = r.streams[:base], outer
 	}()
 
-	if l.strip != nil {
-		return r.stripLoop(l, lo, hi)
+	r.vals[s], r.bound[s], r.isFirst[s] = lo, true, true
+	for _, x := range l.streams {
+		e, err := r.evalAffine(&x.clin)
+		if err != nil {
+			return err
+		}
+		r.streams = append(r.streams, stream{
+			pos:   r.img.byteOf(x.arr, e),
+			delta: r.coefVal(&x.clin, s) * l.step * int64(x.elem),
+		})
 	}
-	first := true
-	for v := lo; v <= hi; v += l.step {
-		r.vals[s] = v
-		r.bound[s] = true
-		r.isFirst[s] = first
+	r.frame = base
+	strip := l.strip != nil
+	if strip {
+		// Strip-mode sites are observed afresh on every loop entry.
+		for _, st := range l.body {
+			for _, site := range st.(*xassign).sites {
+				r.siteLast[site.id] = -1
+			}
+		}
+	}
+	iters := (hi-lo)/l.step + 1
+	for it, steps := int64(0), int64(1); it < iters; it += steps {
+		// A strip step touches its sites before firing the directives
+		// and charges the whole step's work at once; a single
+		// iteration fires the directives before running the body.
+		if strip {
+			for _, st := range l.body {
+				for _, site := range st.(*xassign).sites {
+					if err := r.touch(site); err != nil {
+						return err
+					}
+				}
+			}
+		}
 		for _, d := range l.dirs {
 			if err := r.fire(d); err != nil {
 				return err
 			}
 		}
-		if err := r.stmts(l.body); err != nil {
+		if strip {
+			steps = r.span(iters - it)
+			r.h.Work(l.strip.cost * float64(steps))
+		} else if err := r.stmts(l.body); err != nil {
 			return err
 		}
-		first = false
+		for i := base; i < len(r.streams); i++ {
+			r.streams[i].pos += r.streams[i].delta * steps
+		}
+		r.vals[s] += steps * l.step
+		// After the first step the loop is no longer at its first
+		// iteration (gating for peeled prefetches).
+		r.isFirst[s] = false
 	}
 	return nil
 }
 
+// span returns how many iterations, at most rest, the current loop can
+// advance before any of its streams crosses into another page.
+//
+//simvet:hot
+func (r *runner) span(rest int64) int64 {
+	ps := int64(r.img.C.Target.PageSize)
+	steps := rest
+	for i := r.frame; i < len(r.streams); i++ {
+		t := &r.streams[i]
+		if t.delta == 0 {
+			continue
+		}
+		var n int64
+		off := t.pos & (ps - 1)
+		if t.delta > 0 {
+			n = (ps - off + t.delta - 1) / t.delta
+		} else {
+			n = (off - t.delta) / -t.delta
+		}
+		if n < 1 {
+			n = 1
+		}
+		if n < steps {
+			steps = n
+		}
+	}
+	return steps
+}
+
+// coefVal evaluates the per-iteration coefficient of slot v in lin: the
+// sum of every term on v, each possibly scaled by a symbolic stride. An
+// unbound stride parameter contributes zero, as the map lookup used to.
+func (r *runner) coefVal(lin *caffine, v int32) int64 {
+	var sum int64
+	for i := range lin.terms {
+		t := &lin.terms[i]
+		if t.slot != v {
+			continue
+		}
+		c := t.coef
+		if t.coefSlot >= 0 {
+			if !r.bound[t.coefSlot] {
+				continue
+			}
+			c *= r.vals[t.coefSlot]
+		}
+		sum += c
+	}
+	return sum
+}
+
+// page returns the page x references at the current iteration: from its
+// address stream, or by evaluating an indirect reference (with a shift
+// on the loop variable slot for look-ahead) or an assignment outside
+// every loop. ok is false for an indirect reference with no target.
+//
+//simvet:hot
+func (r *runner) page(x *xref, slot int32, shift int64) (page int64, ok bool, err error) {
+	if x.stream >= 0 {
+		return r.streams[r.frame+int(x.stream)].pos >> r.img.pageShift, true, nil
+	}
+	var elem int64
+	if x.ind != nil {
+		if elem, ok = r.indirectElem(x, slot, shift); !ok {
+			return 0, false, nil
+		}
+	} else if elem, err = r.evalAffine(&x.clin); err != nil {
+		return 0, false, err
+	}
+	return r.img.byteOf(x.arr, elem) >> r.img.pageShift, true, nil
+}
+
 // indirectElem resolves an a[b[i]] target element, with a shift on the
-// attached loop variable (by slot) for look-ahead. idx is the
-// slot-compiled form of ind.idxLin.
-func (r *runner) indirectElem(arr *lang.Array, ind *indirectSpec, idxc *caffine, loopVarSlot int32, shift int64) (int64, bool) {
+// loop variable slot for look-ahead.
+//
+//simvet:hot
+func (r *runner) indirectElem(x *xref, slot int32, shift int64) (int64, bool) {
 	var old int64
 	if shift != 0 {
-		old = r.vals[loopVarSlot]
-		r.vals[loopVarSlot] = old + shift
+		old = r.vals[slot]
+		r.vals[slot] = old + shift
 	}
-	idx, err := r.evalAffine(idxc)
+	idx, err := r.evalAffine(&x.cidx)
 	if shift != 0 {
-		r.vals[loopVarSlot] = old
+		r.vals[slot] = old
 	}
 	if err != nil {
 		return 0, false
 	}
-	n := r.img.lens[ind.idxArr]
+	n := r.img.lens[x.ind.idxArr]
 	if n == 0 {
 		return 0, false
 	}
@@ -288,8 +391,8 @@ func (r *runner) indirectElem(arr *lang.Array, ind *indirectSpec, idxc *caffine,
 	if idx >= n {
 		idx = n - 1 // clamped look-ahead past the end
 	}
-	v := ind.idxArr.Data(idx)
-	m := r.img.lens[arr]
+	v := x.ind.idxArr.Data(idx)
+	m := r.img.lens[x.arr]
 	if m == 0 {
 		return 0, false
 	}
@@ -300,22 +403,14 @@ func (r *runner) indirectElem(arr *lang.Array, ind *indirectSpec, idxc *caffine,
 	return v, true
 }
 
-// fire evaluates one directive at the current iteration and issues its
-// hint when the observed page changed.
+// fire observes one directive at the current iteration and issues its
+// hint when the page changed.
+//
+//simvet:hot
 func (r *runner) fire(d *xdir) error {
-	var page int64
-	if d.ind != nil {
-		elem, ok := r.indirectElem(d.arr, d.ind, &d.cidx, d.loopVarSlot, d.itersAhead)
-		if !ok {
-			return nil
-		}
-		page = r.img.byteOf(d.arr, elem) >> r.img.pageShift
-	} else {
-		elem, err := r.evalAffine(&d.clin)
-		if err != nil {
-			return err
-		}
-		page = r.img.byteOf(d.arr, elem) >> r.img.pageShift
+	page, ok, err := r.page(&d.xref, d.loopVarSlot, d.itersAhead)
+	if !ok {
+		return err
 	}
 	if page == r.dirLast[d.id] {
 		return nil
@@ -323,6 +418,22 @@ func (r *runner) fire(d *xdir) error {
 	firstObs := r.dirLast[d.id] < 0
 	r.dirLast[d.id] = page
 	r.issue(d, page, firstObs)
+	return nil
+}
+
+// touch observes one access site and references its page when it
+// changed.
+//
+//simvet:hot
+func (r *runner) touch(s *accessSite) error {
+	page, ok, err := r.page(&s.xref, 0, 0)
+	if !ok {
+		return err
+	}
+	if page != r.siteLast[s.id] {
+		r.siteLast[s.id] = page
+		r.h.Touch(page, s.write)
+	}
 	return nil
 }
 
@@ -367,144 +478,10 @@ func (r *runner) issue(d *xdir, page int64, firstObs bool) {
 
 func (r *runner) assign(a *xassign) error {
 	for _, s := range a.sites {
-		var elem int64
-		if s.ind != nil {
-			e, ok := r.indirectElem(s.arr, s.ind, &s.cidx, 0, 0)
-			if !ok {
-				continue
-			}
-			elem = e
-		} else {
-			e, err := r.evalAffine(&s.clin)
-			if err != nil {
-				return err
-			}
-			elem = e
-		}
-		page := r.img.byteOf(s.arr, elem) >> r.img.pageShift
-		if page != r.siteLast[s.id] {
-			r.siteLast[s.id] = page
-			r.h.Touch(page, s.write)
+		if err := r.touch(s); err != nil {
+			return err
 		}
 	}
 	r.h.Work(a.cost)
-	return nil
-}
-
-// tracked is one linear address stream followed by the strip-mode
-// executor: a body access site or a directive.
-type tracked struct {
-	pos   int64 // byte position
-	delta int64 // bytes per iteration
-	last  int64 // last observed page
-	site  *accessSite
-	dir   *xdir
-}
-
-// coefVal evaluates the (possibly symbolic) coefficient of slot v in
-// lin. An unbound stride parameter contributes zero, as the map lookup
-// used to.
-func (r *runner) coefVal(lin *caffine, v int32) int64 {
-	for i := range lin.terms {
-		t := &lin.terms[i]
-		if t.slot == v {
-			c := t.coef
-			if t.coefSlot >= 0 {
-				if !r.bound[t.coefSlot] {
-					return 0
-				}
-				c *= r.vals[t.coefSlot]
-			}
-			return c
-		}
-	}
-	return 0
-}
-
-// stripLoop executes an innermost all-affine loop by jumping from page
-// crossing to page crossing: the observable effects (touches, hints,
-// accumulated work) are identical to element-by-element execution at
-// page granularity.
-func (r *runner) stripLoop(l *xloop, lo, hi int64) error {
-	r.vals[l.vSlot] = lo
-	r.bound[l.vSlot] = true
-	r.isFirst[l.vSlot] = true
-	tr := make([]tracked, 0, len(l.strip.sites)+len(l.dirs))
-	for _, s := range l.strip.sites {
-		base, err := r.evalAffine(&s.clin)
-		if err != nil {
-			return err
-		}
-		tr = append(tr, tracked{
-			pos:   r.img.byteOf(s.arr, base),
-			delta: r.coefVal(&s.clin, l.vSlot) * l.step * int64(s.elem),
-			last:  -1,
-			site:  s,
-		})
-	}
-	for _, d := range l.dirs {
-		base, err := r.evalAffine(&d.clin)
-		if err != nil {
-			return err
-		}
-		// Directive state persists across loop entries (the compiler
-		// hoists the pipelining state out of the loop), so track it in
-		// the run-wide slot, not per entry.
-		tr = append(tr, tracked{
-			pos:   r.img.byteOf(d.arr, base),
-			delta: r.coefVal(&d.clin, l.vSlot) * l.step * int64(d.elem),
-			last:  r.dirLast[d.id],
-			dir:   d,
-		})
-	}
-	ps := int64(r.img.C.Target.PageSize)
-	shift := r.img.pageShift
-	iters := (hi-lo)/l.step + 1
-	var it int64
-	for it < iters {
-		for i := range tr {
-			t := &tr[i]
-			page := t.pos >> shift
-			if page == t.last {
-				continue
-			}
-			firstObs := t.last < 0
-			t.last = page
-			if t.site != nil {
-				r.h.Touch(page, t.site.write)
-			} else {
-				r.dirLast[t.dir.id] = page
-				r.issue(t.dir, page, firstObs)
-			}
-		}
-		steps := iters - it
-		for i := range tr {
-			t := &tr[i]
-			if t.delta == 0 {
-				continue
-			}
-			var s int64
-			off := t.pos & (ps - 1)
-			if t.delta > 0 {
-				s = (ps - off + t.delta - 1) / t.delta
-			} else {
-				s = (off - t.delta) / -t.delta
-			}
-			if s < 1 {
-				s = 1
-			}
-			if s < steps {
-				steps = s
-			}
-		}
-		r.h.Work(l.strip.cost * float64(steps))
-		for i := range tr {
-			tr[i].pos += tr[i].delta * steps
-		}
-		it += steps
-		// After the first advance the loop is no longer at its first
-		// iteration (gating for peeled prefetches).
-		r.isFirst[l.vSlot] = false
-	}
 	return nil
 }

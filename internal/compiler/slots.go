@@ -78,16 +78,37 @@ func (c *Compiled) compileAffine(a *lang.Affine) caffine {
 // finalize assigns slots across the whole program and attaches compiled
 // scalar/affine forms to every executable node. Proc bodies are walked
 // in declaration order (once each — xcall shares the compiled body), so
-// slot numbering is deterministic.
+// slot numbering is deterministic. It also gives every affine reference
+// inside a loop its address-stream index in that loop.
 func (c *Compiled) finalize() {
 	c.slots = map[string]int32{}
 	for _, pr := range c.Prog.Procs {
-		c.compileSlotStmts(c.procs[pr])
+		c.compileSlotStmts(c.procs[pr], nil)
 	}
-	c.compileSlotStmts(c.Main)
+	c.compileSlotStmts(c.Main, nil)
 }
 
-func (c *Compiled) compileSlotStmts(list []xstmt) {
+// compileRef attaches the slot-resolved forms of one reference. An
+// affine reference inside a loop gets a stream in that loop, the owner;
+// an indirect one is listed for Bind's data check.
+func (c *Compiled) compileRef(x *xref, owner *xloop) {
+	x.stream = -1
+	if x.lin != nil {
+		x.clin = c.compileAffine(x.lin)
+		if owner != nil {
+			x.stream = int32(len(owner.streams))
+			owner.streams = append(owner.streams, x)
+		}
+	}
+	if x.ind != nil {
+		x.cidx = c.compileAffine(x.ind.idxLin)
+		c.indirect = append(c.indirect, x)
+	}
+}
+
+// compileSlotStmts compiles list, whose assignments run directly inside
+// the loop owner (nil outside every loop).
+func (c *Compiled) compileSlotStmts(list []xstmt, owner *xloop) {
 	for _, s := range list {
 		switch x := s.(type) {
 		case *xloop:
@@ -95,26 +116,18 @@ func (c *Compiled) compileSlotStmts(list []xstmt) {
 			x.clo = c.compileScalar(x.lo)
 			x.chi = c.compileScalar(x.hi)
 			for _, d := range x.dirs {
-				if d.lin != nil {
-					d.clin = c.compileAffine(d.lin)
-				}
+				c.compileRef(&d.xref, x)
 				if d.ind != nil {
-					d.cidx = c.compileAffine(d.ind.idxLin)
 					d.loopVarSlot = c.slotOf(d.loopVar)
 				}
 				for _, g := range d.gates {
 					d.gateSlots = append(d.gateSlots, c.slotOf(g))
 				}
 			}
-			c.compileSlotStmts(x.body)
+			c.compileSlotStmts(x.body, x)
 		case *xassign:
 			for _, site := range x.sites {
-				if site.lin != nil {
-					site.clin = c.compileAffine(site.lin)
-				}
-				if site.ind != nil {
-					site.cidx = c.compileAffine(site.ind.idxLin)
-				}
+				c.compileRef(&site.xref, owner)
 			}
 		case *xcall:
 			// The shared proc body was compiled by the proc walk; only

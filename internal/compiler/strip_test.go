@@ -8,8 +8,8 @@ import (
 	"memhogs/internal/sim"
 )
 
-// clearStrip forces general (per-iteration) execution by removing the
-// strip plans from an executable tree.
+// clearStrip makes every loop step one iteration at a time by removing
+// the strip plans from an executable tree.
 func clearStrip(list []xstmt) {
 	for _, s := range list {
 		if xl, ok := s.(*xloop); ok {
@@ -121,59 +121,71 @@ func indentN(n int) string {
 	return s
 }
 
+// runSets compiles prog for the test target, clearing the strip plans
+// when stepping is set, and runs it with the given bindings.
+func runSets(t *testing.T, prog *lang.Program, params map[string]int64, stepping bool) *setHints {
+	t.Helper()
+	c := MustCompile(prog, testTarget())
+	if stepping {
+		clearAllStrip(c)
+	}
+	img, err := c.Bind(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newSetHints()
+	if err := img.Run(h); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// sameSets fails unless strip-mode and stepping runs of prog touched,
+// prefetched and released the same page sets and accounted the same
+// work.
+func sameSets(t *testing.T, label string, prog *lang.Program, strip, step *setHints) {
+	t.Helper()
+	for _, k := range []struct {
+		kind        string
+		strip, step map[int64]bool
+	}{
+		{"touched", strip.touched, step.touched},
+		{"prefetched", strip.prefetch, step.prefetch},
+		{"released", strip.released, step.released},
+	} {
+		for p := range k.strip {
+			if !k.step[p] {
+				t.Fatalf("%s: page %d %s only in strip mode (strip=%d stepping=%d pages)\n%s",
+					label, p, k.kind, len(k.strip), len(k.step), lang.Format(prog))
+			}
+		}
+		for p := range k.step {
+			if !k.strip[p] {
+				t.Fatalf("%s: page %d %s only when stepping (strip=%d stepping=%d pages)\n%s",
+					label, p, k.kind, len(k.strip), len(k.step), lang.Format(prog))
+			}
+		}
+	}
+	if strip.work != step.work {
+		t.Fatalf("%s: work differs: strip=%v stepping=%v", label, strip.work, step.work)
+	}
+}
+
 // TestStripEquivalenceRandom property-checks that strip-mode execution
 // observes the same pages, emits the same hint page sets, and accounts
-// the same work as plain per-iteration execution, across random affine
-// programs.
+// the same work as stepping one iteration at a time, across random
+// affine programs.
 func TestStripEquivalenceRandom(t *testing.T) {
 	r := sim.NewRand(20260706)
 	for trial := 0; trial < 40; trial++ {
 		prog := randomProgram(r, trial)
-		tgt := testTarget()
-
-		cs := MustCompile(prog, tgt)
-		imgS, err := cs.Bind(nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		hs := newSetHints()
-		if err := imgS.Run(hs); err != nil {
-			t.Fatalf("trial %d strip: %v", trial, err)
-		}
-
-		cg := MustCompile(prog, tgt)
-		clearAllStrip(cg)
-		imgG, err := cg.Bind(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hg := newSetHints()
-		if err := imgG.Run(hg); err != nil {
-			t.Fatalf("trial %d general: %v", trial, err)
-		}
-
-		if len(hs.touched) != len(hg.touched) {
-			t.Fatalf("trial %d: touched sets differ: strip=%d general=%d\n%s",
-				trial, len(hs.touched), len(hg.touched), lang.Format(prog))
-		}
-		for p := range hs.touched {
-			if !hg.touched[p] {
-				t.Fatalf("trial %d: page %d touched only in strip mode", trial, p)
-			}
-		}
-		if len(hs.prefetch) != len(hg.prefetch) || len(hs.released) != len(hg.released) {
-			t.Fatalf("trial %d: hint sets differ: pf %d/%d rel %d/%d\n%s",
-				trial, len(hs.prefetch), len(hg.prefetch),
-				len(hs.released), len(hg.released), lang.Format(prog))
-		}
-		if hs.work != hg.work {
-			t.Fatalf("trial %d: work differs: %v vs %v", trial, hs.work, hg.work)
-		}
+		sameSets(t, fmt.Sprintf("trial %d", trial), prog,
+			runSets(t, prog, nil, false), runSets(t, prog, nil, true))
 	}
 }
 
 // TestStripEquivalenceNegativeCoef checks descending address streams
-// (negative coefficients) across the two executors.
+// (negative coefficients) across the two stepping rules.
 func TestStripEquivalenceNegativeCoef(t *testing.T) {
 	prog := lang.MustParse(`
 program revsweep
@@ -184,64 +196,45 @@ for i = 0 to N-1 {
     a[8192-i] = a[8192-i] + 1 @ 10
 }
 `)
-	tgt := testTarget()
-	cs := MustCompile(prog, tgt)
-	imgS, err := cs.Bind(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := newSetHints()
-	if err := imgS.Run(hs); err != nil {
-		t.Fatal(err)
-	}
-	cg := MustCompile(prog, tgt)
-	clearAllStrip(cg)
-	imgG, _ := cg.Bind(nil)
-	hg := newSetHints()
-	if err := imgG.Run(hg); err != nil {
-		t.Fatal(err)
-	}
-	if len(hs.touched) != len(hg.touched) || hs.work != hg.work {
-		t.Fatalf("descending sweep differs: touched %d/%d work %v/%v",
-			len(hs.touched), len(hg.touched), hs.work, hg.work)
-	}
+	hs := runSets(t, prog, nil, false)
+	sameSets(t, "descending sweep", prog, hs, runSets(t, prog, nil, true))
+	sameAsOracle(t, "descending sweep", prog, testTarget(), nil)
 	// The sweep covers the whole array: 8200*8/16384 pages.
 	if len(hs.touched) != 5 {
 		t.Fatalf("touched %d pages, want 5", len(hs.touched))
 	}
 }
 
-// TestStripSymbolicStrideEquivalence checks runtime-bound strides.
+// TestStripSymbolicStrideEquivalence checks runtime-bound strides,
+// including a subscript with both a symbolic and a plain term on the
+// loop variable, whose per-iteration stride is their sum. Stepping must
+// also match the element-wise oracle, since both stepping rules share
+// the streams' stride.
 func TestStripSymbolicStrideEquivalence(t *testing.T) {
-	prog := lang.MustParse(`
+	progs := []*lang.Program{
+		lang.MustParse(`
 program symstride
 param S
 array a[65536] of float64
 for k = 0 to 8191 {
     a[S*k] = a[S*k] + 1 @ 10
 }
-`)
-	for _, stride := range []int64{1, 3, 8} {
-		tgt := testTarget()
-		cs := MustCompile(prog, tgt)
-		imgS, err := cs.Bind(map[string]int64{"S": stride})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := newSetHints()
-		if err := imgS.Run(hs); err != nil {
-			t.Fatal(err)
-		}
-		cg := MustCompile(prog, tgt)
-		clearAllStrip(cg)
-		imgG, _ := cg.Bind(map[string]int64{"S": stride})
-		hg := newSetHints()
-		if err := imgG.Run(hg); err != nil {
-			t.Fatal(err)
-		}
-		if len(hs.touched) != len(hg.touched) || hs.work != hg.work {
-			t.Fatalf("stride %d: touched %d/%d work %v/%v",
-				stride, len(hs.touched), len(hg.touched), hs.work, hg.work)
+`),
+		lang.MustParse(`
+program mixedstride
+param S
+array a[81920] of float64
+for k = 0 to 8191 {
+    a[S*k+k] = a[S*k+k] + 1 @ 10
+}
+`),
+	}
+	for _, prog := range progs {
+		for _, stride := range []int64{1, 3, 8} {
+			label := fmt.Sprintf("%s S=%d", prog.Name, stride)
+			params := map[string]int64{"S": stride}
+			sameSets(t, label, prog, runSets(t, prog, params, false), runSets(t, prog, params, true))
+			sameAsOracle(t, label, prog, testTarget(), params)
 		}
 	}
 }
