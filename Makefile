@@ -141,12 +141,15 @@ chaos: build
 	@cmp /tmp/memhog-chaos-e.json /tmp/memhog-chaos-f.json
 	@echo "chaos: replay deterministic"
 
-# Short fuzz sessions over the language front end and the chaos plan
-# codec; `go test -fuzz=<name> -fuzztime=0` explores indefinitely.
+# Short sessions of every fuzz target: the language front end, the
+# affine evaluator, the chaos plan codec and the flight-recorder
+# exporter; `go test -fuzz=<name> -fuzztime=0` explores indefinitely.
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=10s ./internal/lang/
 	go test -fuzz=FuzzVet -fuzztime=10s ./internal/lang/
+	go test -fuzz=FuzzAffineEval -fuzztime=10s ./internal/lang/
 	go test -fuzz=FuzzChaosPlan -fuzztime=10s ./internal/chaos/
+	go test -fuzz=FuzzExport -fuzztime=10s ./internal/events/
 
 clean:
 	go clean ./...

@@ -337,8 +337,54 @@ func (in *Injector) ScheduleMem(phys *mem.Phys, maxOffline int, kick func(node i
 	if in == nil {
 		return
 	}
+	in.schedule(pool{
+		shrink: MemShrink, grow: MemGrow, nodes: phys.Nodes(),
+		offlineCount: phys.OfflineCount, offline: phys.OfflineNode, online: phys.OnlineNode,
+		kick: kick,
+	}, maxOffline)
+}
+
+// ScheduleFar arms the plan's timed far-shrink/grow faults against the
+// far tier. Only free slots can go offline (demoted pages stay where
+// they are, as on a real device being drained), so a shrink takes what
+// is drainable now and retries on the ScheduleMem cadence — promotions
+// replenish the free stacks — until it reaches its magnitude or the
+// maxOffline cap. Far faults ignore node= and kick no daemon. A no-op
+// when the run has no far tier, which is what keeps far faults in an
+// "all" plan inert on far-disabled runs.
+func (in *Injector) ScheduleFar(far *mem.FarTier, maxOffline int) {
+	if in == nil || far == nil {
+		return
+	}
+	in.schedule(pool{
+		shrink: FarShrink, grow: FarGrow, nodes: far.Nodes(),
+		offlineCount: far.OfflineCount,
+		offline:      func(_, n int) int { return far.Offline(n) },
+		online:       func(_, n int) int { return far.Online(n) },
+	}, maxOffline)
+}
+
+// pool is a hot-pluggable capacity that a pair of timed shrink/grow
+// sites acts on.
+type pool struct {
+	shrink, grow Site
+	nodes        int // Fault.Node is clamped below this
+	offlineCount func() int
+	// offline/online take up to n units out of / back into service on
+	// one node (node < 0: the whole machine) and return how many did.
+	offline, online func(node, n int) int
+	kick            func(node int) // may be nil
+}
+
+// schedule arms the plan's timed faults at pl's shrink and grow sites.
+// A shrink that cannot take its whole magnitude at once (only free
+// units go offline) kicks for memory and retries every shrinkRetry
+// until it has it, never exceeding maxOffline units offline at once.
+func (in *Injector) schedule(pl pool, maxOffline int) {
 	for _, f := range in.timed {
-		f := f
+		if f.Site != pl.shrink && f.Site != pl.grow {
+			continue
+		}
 		mag := f.Mag
 		if mag == 0 {
 			mag = defaultMag[f.Site]
@@ -348,106 +394,39 @@ func (in *Injector) ScheduleMem(phys *mem.Phys, maxOffline int, kick func(node i
 			at = f.After
 		}
 		// node < 0 means whole-machine; otherwise the fault is scoped
-		// to one memory region (clamped so a stale plan cannot panic).
-		node := f.Node - 1
-		if node >= phys.Nodes() {
-			node = phys.Nodes() - 1
-		}
-		switch f.Site {
-		case MemShrink:
-			remaining := int(mag)
-			var step func()
-			step = func() {
-				if over := phys.OfflineCount() + remaining - maxOffline; over > 0 {
-					remaining -= over
-				}
-				if remaining <= 0 {
-					return
-				}
-				var got int
-				if node >= 0 {
-					got = phys.OfflineNode(node, remaining)
-				} else {
-					got = phys.Offline(remaining)
-				}
-				remaining -= got
-				if got > 0 {
-					in.inject(MemShrink, "chaos", -1, int64(got))
-				}
-				if remaining > 0 {
-					// Not enough free frames yet: ask for memory and
-					// take the rest as it is freed.
-					if kick != nil {
-						kick(node)
-					}
-					in.sim.After(shrinkRetry, step)
-				}
-			}
-			in.sim.At(at, step)
-		case MemGrow:
+		// to one region (clamped so a stale plan cannot panic).
+		node := min(f.Node-1, pl.nodes-1)
+		if f.Site == pl.grow {
 			in.sim.At(at, func() {
-				var got int
-				if node >= 0 {
-					got = phys.OnlineNode(node, int(mag))
-				} else {
-					got = phys.Online(int(mag))
-				}
-				if got > 0 {
-					in.inject(MemGrow, "chaos", -1, int64(got))
+				if got := pl.online(node, int(mag)); got > 0 {
+					in.inject(pl.grow, "chaos", -1, int64(got))
 				}
 			})
+			continue
 		}
-	}
-}
-
-// ScheduleFar arms the plan's timed far-shrink/grow faults against the
-// far tier. Only free slots can go offline (demoted pages stay where
-// they are, as on a real device being drained), so a shrink takes what
-// is drainable now and retries on the ScheduleMem cadence — promotions
-// replenish the free stacks — until it reaches its magnitude or the
-// maxOffline cap. A no-op when the run has no far tier, which is what
-// keeps far faults in an "all" plan inert on far-disabled runs.
-func (in *Injector) ScheduleFar(far *mem.FarTier, maxOffline int) {
-	if in == nil || far == nil {
-		return
-	}
-	for _, f := range in.timed {
-		f := f
-		mag := f.Mag
-		if mag == 0 {
-			mag = defaultMag[f.Site]
-		}
-		at := f.At
-		if at == 0 {
-			at = f.After
-		}
-		switch f.Site {
-		case FarShrink:
-			remaining := int(mag)
-			var step func()
-			step = func() {
-				if over := far.OfflineCount() + remaining - maxOffline; over > 0 {
-					remaining -= over
-				}
-				if remaining <= 0 {
-					return
-				}
-				got := far.Offline(remaining)
-				remaining -= got
-				if got > 0 {
-					in.inject(FarShrink, "chaos", -1, int64(got))
-				}
-				if remaining > 0 {
-					in.sim.After(shrinkRetry, step)
-				}
+		remaining := int(mag)
+		var step func()
+		step = func() {
+			if over := pl.offlineCount() + remaining - maxOffline; over > 0 {
+				remaining -= over
 			}
-			in.sim.At(at, step)
-		case FarGrow:
-			in.sim.At(at, func() {
-				if got := far.Online(int(mag)); got > 0 {
-					in.inject(FarGrow, "chaos", -1, int64(got))
+			if remaining <= 0 {
+				return
+			}
+			got := pl.offline(node, remaining)
+			remaining -= got
+			if got > 0 {
+				in.inject(pl.shrink, "chaos", -1, int64(got))
+			}
+			if remaining > 0 {
+				// Not enough free units yet: ask for memory and take
+				// the rest as it is freed.
+				if pl.kick != nil {
+					pl.kick(node)
 				}
-			})
+				in.sim.After(shrinkRetry, step)
+			}
 		}
+		in.sim.At(at, step)
 	}
 }

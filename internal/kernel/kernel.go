@@ -108,8 +108,8 @@ func NewSystem(cfg Config) *System {
 	rcfg := cfg.Releaser
 	rcfg.FarMinPrio = cfg.Far.MinPrio
 	for k := 0; k < nodes; k++ {
-		sys.Daemons = append(sys.Daemons, pageout.NewNodeDaemon(s, sys.Phys, sys.Disks, dkcfg, k))
-		sys.Releasers = append(sys.Releasers, pageout.NewNodeReleaser(s, sys.Disks, rcfg, k))
+		sys.Daemons = append(sys.Daemons, pageout.NewNodeDaemon(s, sys.Phys, dkcfg, k))
+		sys.Releasers = append(sys.Releasers, pageout.NewNodeReleaser(s, rcfg, k))
 	}
 	sys.Daemon, sys.Releaser = sys.Daemons[0], sys.Releasers[0]
 	if nodes > 1 {

@@ -16,7 +16,6 @@ import (
 	"strconv"
 
 	"memhogs/internal/chaos"
-	"memhogs/internal/disk"
 	"memhogs/internal/events"
 	"memhogs/internal/mem"
 	"memhogs/internal/sim"
@@ -54,11 +53,10 @@ type Donor struct {
 
 // Daemon is the paging daemon.
 type Daemon struct {
-	sim   *sim.Sim
-	phys  *mem.Phys
-	disks *disk.Array
-	cfg   DaemonConfig
-	exec  vm.Exec
+	sim  *sim.Sim
+	phys *mem.Phys
+	cfg  DaemonConfig
+	exec vm.Exec
 
 	ases   []*vm.AS
 	donors []Donor
@@ -106,22 +104,16 @@ func (d *Daemon) reportSkips(from, n int) {
 	}
 }
 
-// NewDaemon creates the node-0 paging daemon (with an unsharded pool,
-// the daemon for all of physical memory); Start must be called with
-// the daemon's execution context before the simulation runs.
-func NewDaemon(s *sim.Sim, phys *mem.Phys, disks *disk.Array, cfg DaemonConfig) *Daemon {
-	return NewNodeDaemon(s, phys, disks, cfg, 0)
-}
-
 // NewNodeDaemon creates the paging daemon for one memory node: its
 // clock sweeps only that node's frame region and its free-memory
-// thresholds apply to that node's free list.
-func NewNodeDaemon(s *sim.Sim, phys *mem.Phys, disks *disk.Array, cfg DaemonConfig, node int) *Daemon {
+// thresholds apply to that node's free list (with an unsharded pool,
+// node 0's daemon covers all of physical memory). Start must be called
+// with the daemon's execution context before the simulation runs.
+func NewNodeDaemon(s *sim.Sim, phys *mem.Phys, cfg DaemonConfig, node int) *Daemon {
 	base, limit := phys.NodeRange(node)
 	d := &Daemon{
 		sim:     s,
 		phys:    phys,
-		disks:   disks,
 		cfg:     cfg,
 		node:    node,
 		base:    base,
@@ -253,8 +245,7 @@ func (d *Daemon) askDonors(p *sim.Proc) {
 			d.Events.Emit(events.DaemonDonated, d.name, dn.AS.OwnerName(), vpn, int64(d.free()), 0)
 			if dirty {
 				d.Stats.Writebacks++
-				dn.AS.Stats.Writebacks++
-				d.disks.Submit(dn.AS.WritebackSwapPage(vpn), &disk.Request{Op: disk.Write})
+				dn.AS.WriteBack(vpn)
 			}
 		}
 		dn.AS.Memlock.Release(p)
@@ -340,42 +331,11 @@ func (d *Daemon) scanBatch(p *sim.Proc) int {
 		d.Stats.Scanned++
 		d.exec.System(d.cfg.PerPage)
 		vpn := f.VPN
-		pte := as.PTE(vpn)
-		if pte.Busy {
+		if as.PTE(vpn).Busy {
 			continue
 		}
-		if pte.Valid {
-			// First pass over this page: clear the simulated
-			// reference bit. A process still using the page will take
-			// a soft fault to revalidate it.
-			as.ClearValid(vpn, vm.InvalidDaemon)
-			d.Stats.Invalidations++
-			d.Events.Emit(events.DaemonClear, d.name, as.OwnerName(), vpn, 0, 0)
-			continue
-		}
-		if pte.Why != vm.InvalidDaemon {
-			// Invalid for another reason (e.g. prefetched, not yet
-			// referenced): start its clock instead of stealing it
-			// outright.
-			as.MarkClockCandidate(vpn)
-			d.Stats.Invalidations++
-			d.Events.Emit(events.DaemonClear, d.name, as.OwnerName(), vpn, 1, 0)
-			continue
-		}
-		// Still invalid since the last pass: steal it.
-		freed, dirty := as.TryReclaim(vpn, mem.FreedDaemon)
-		if freed {
-			d.Stats.Stolen++
-			d.Events.Emit(events.DaemonSteal, d.name, as.OwnerName(), vpn, int64(d.free()), 0)
-			if dirty {
-				d.Stats.Writebacks++
-				as.Stats.Writebacks++
-				//simvet:allow SV006 one request record per writeback; the disk queue owns it
-				d.disks.Submit(as.WritebackSwapPage(vpn), &disk.Request{Op: disk.Write})
-			}
-			if d.free() >= d.target() {
-				break
-			}
+		if d.clock(as, vpn, 0) && d.free() >= d.target() {
+			break
 		}
 	}
 	as.Memlock.Release(p)
@@ -400,36 +360,52 @@ func (d *Daemon) trimMaxRSS(p *sim.Proc) {
 		// everything it skips is exactly what the per-PTE walk skipped
 		// (the bitmap mirrors PTE.Present).
 		for vpn := as.NextResident(0); vpn >= 0 && as.Resident > as.MaxRSS; vpn = as.NextResident(vpn + 1) {
-			pte := as.PTE(vpn)
-			if pte.Busy {
+			if as.PTE(vpn).Busy {
 				continue
 			}
 			d.exec.System(d.cfg.PerPage)
 			d.Stats.Scanned++
-			if pte.Valid {
-				as.ClearValid(vpn, vm.InvalidDaemon)
-				d.Stats.Invalidations++
-				d.Events.Emit(events.DaemonClear, d.name, as.OwnerName(), vpn, 0, 0)
-				continue
-			}
-			if pte.Why != vm.InvalidDaemon {
-				as.MarkClockCandidate(vpn)
-				d.Stats.Invalidations++
-				d.Events.Emit(events.DaemonClear, d.name, as.OwnerName(), vpn, 1, 0)
-				continue
-			}
-			freed, dirty := as.TryReclaim(vpn, mem.FreedDaemon)
-			if freed {
-				d.Stats.Stolen++
-				d.Stats.Trims++
-				d.Events.Emit(events.DaemonSteal, d.name, as.OwnerName(), vpn, int64(d.free()), 1)
-				if dirty {
-					d.Stats.Writebacks++
-					as.Stats.Writebacks++
-					d.disks.Submit(as.WritebackSwapPage(vpn), &disk.Request{Op: disk.Write})
-				}
-			}
+			d.clock(as, vpn, 1)
 		}
 		as.Memlock.Release(p)
 	}
+}
+
+// clock is the clock algorithm's step on one idle resident page of as,
+// shared by the sweep and the maxrss trim: a valid page has its
+// simulated reference bit cleared (a process still using it takes a
+// soft fault to revalidate it); a page invalid for another reason (e.g.
+// prefetched, not yet referenced) starts its clock instead of being
+// stolen outright; a page still invalid since the last pass is stolen,
+// and written back when dirty. trim is 1 for a maxrss trim, the steal
+// event's B value. It reports whether the page was stolen. Caller holds
+// Memlock.
+//
+//simvet:hot
+func (d *Daemon) clock(as *vm.AS, vpn int, trim int64) bool {
+	pte := as.PTE(vpn)
+	if pte.Valid {
+		as.ClearValid(vpn, vm.InvalidDaemon)
+		d.Stats.Invalidations++
+		d.Events.Emit(events.DaemonClear, d.name, as.OwnerName(), vpn, 0, 0)
+		return false
+	}
+	if pte.Why != vm.InvalidDaemon {
+		as.MarkClockCandidate(vpn)
+		d.Stats.Invalidations++
+		d.Events.Emit(events.DaemonClear, d.name, as.OwnerName(), vpn, 1, 0)
+		return false
+	}
+	freed, dirty := as.TryReclaim(vpn, mem.FreedDaemon)
+	if !freed {
+		return false
+	}
+	d.Stats.Stolen++
+	d.Stats.Trims += trim
+	d.Events.Emit(events.DaemonSteal, d.name, as.OwnerName(), vpn, int64(d.free()), trim)
+	if dirty {
+		d.Stats.Writebacks++
+		as.WriteBack(vpn)
+	}
+	return true
 }

@@ -38,13 +38,13 @@ func newRig(frames int) *rig {
 		SeqPosTime: 600 * sim.Microsecond, TransferTime: 900 * sim.Microsecond,
 		Seed: 1,
 	})
-	daemon := NewDaemon(s, phys, dk, DaemonConfig{
+	daemon := NewNodeDaemon(s, phys, DaemonConfig{
 		MinFree: 4, TargetFree: 8,
 		PerPage: 6 * sim.Microsecond, Batch: 16,
-	})
+	}, 0)
 	phys.LowWater = 4
 	phys.NeedMemory = func(int) { daemon.Kick() }
-	releaser := NewReleaser(s, dk, ReleaserConfig{PerPage: 2 * sim.Microsecond, Batch: 8})
+	releaser := NewNodeReleaser(s, ReleaserConfig{PerPage: 2 * sim.Microsecond, Batch: 8}, 0)
 	daemon.Start(func(p *sim.Proc) vm.Exec { return &testExec{proc: p} })
 	releaser.Start(func(p *sim.Proc) vm.Exec { return &testExec{proc: p} })
 	return &rig{s: s, phys: phys, dk: dk, daemon: daemon, releaser: releaser}

@@ -2,7 +2,6 @@ package pageout
 
 import (
 	"memhogs/internal/chaos"
-	"memhogs/internal/disk"
 	"memhogs/internal/events"
 	"memhogs/internal/mem"
 	"memhogs/internal/sim"
@@ -47,10 +46,9 @@ type releaseReq struct {
 // indicated by the application" (§3.1.2). It holds address-space locks
 // for much shorter periods and does less work per page.
 type Releaser struct {
-	sim   *sim.Sim
-	disks *disk.Array
-	cfg   ReleaserConfig
-	exec  vm.Exec
+	sim  *sim.Sim
+	cfg  ReleaserConfig
+	exec vm.Exec
 
 	node  int
 	name  string // "releaserd" on node 0, "releaserd<k>" elsewhere
@@ -66,23 +64,16 @@ type Releaser struct {
 	Chaos *chaos.Injector
 }
 
-// NewReleaser creates the node-0 releaser; Start must be called
-// before the simulation runs.
-func NewReleaser(s *sim.Sim, disks *disk.Array, cfg ReleaserConfig) *Releaser {
-	return NewNodeReleaser(s, disks, cfg, 0)
-}
-
 // NewNodeReleaser creates the releaser daemon serving one memory
 // node's processes (each process enqueues to its home node's
-// releaser).
-func NewNodeReleaser(s *sim.Sim, disks *disk.Array, cfg ReleaserConfig, node int) *Releaser {
+// releaser). Start must be called before the simulation runs.
+func NewNodeReleaser(s *sim.Sim, cfg ReleaserConfig, node int) *Releaser {
 	return &Releaser{
-		sim:   s,
-		disks: disks,
-		cfg:   cfg,
-		node:  node,
-		name:  daemonName("releaserd", node),
-		wake:  sim.NewWaitq("releaser.wake"),
+		sim:  s,
+		cfg:  cfg,
+		node: node,
+		name: daemonName("releaserd", node),
+		wake: sim.NewWaitq("releaser.wake"),
 	}
 }
 
@@ -189,8 +180,7 @@ func (r *Releaser) handle(p *sim.Proc, req releaseReq) {
 				r.Events.Emit(events.ReleaserFree, r.name, req.as.OwnerName(), vpn, 0, d)
 				if dirty {
 					r.Stats.Writebacks++
-					req.as.Stats.Writebacks++
-					r.disks.Submit(req.as.WritebackSwapPage(vpn), &disk.Request{Op: disk.Write})
+					req.as.WriteBack(vpn)
 				}
 			}
 		}

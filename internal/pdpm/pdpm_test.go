@@ -40,9 +40,9 @@ func newRig(frames, pages int, cfg Config) *rig {
 		SeqPosTime: 600 * sim.Microsecond, TransferTime: 900 * sim.Microsecond,
 		Seed: 1,
 	})
-	releaser := pageout.NewReleaser(s, dk, pageout.ReleaserConfig{
+	releaser := pageout.NewNodeReleaser(s, pageout.ReleaserConfig{
 		PerPage: 2 * sim.Microsecond, Batch: 8,
-	})
+	}, 0)
 	releaser.Start(func(p *sim.Proc) vm.Exec { return &testExec{proc: p} })
 	as := vm.NewAS("app", 0, pages, 0, phys, dk, vm.Params{
 		SoftFaultTime: 30 * sim.Microsecond,

@@ -359,10 +359,17 @@ func (as *AS) NextResident(from int) int {
 	return -1
 }
 
-// beginPageIn/endPageIn bracket a page-in operation; they are always
-// paired with setting/clearing the PTE's Busy bit.
-func (as *AS) beginPageIn(vpn int) { as.inflight[vpn] = true }
-func (as *AS) endPageIn(vpn int)   { delete(as.inflight, vpn) }
+// beginPageIn/endPageIn bracket a page-in operation: they set and
+// clear the PTE's Busy bit together with the in-flight registry.
+func (as *AS) beginPageIn(pte *PTE, vpn int) {
+	pte.Busy = true
+	as.inflight[vpn] = true
+}
+
+func (as *AS) endPageIn(pte *PTE, vpn int) {
+	pte.Busy = false
+	delete(as.inflight, vpn)
+}
 
 // PageInInFlight reports whether a page-in operation (fault,
 // readahead or prefetch) is outstanding for vpn.
@@ -450,8 +457,7 @@ func (as *AS) fault(x Exec, vpn int, write bool) Outcome {
 			as.ioWait.Wait(p)
 			x.Account(BucketStallIO, p.Now()-start)
 		}
-		wait := as.Memlock.Acquire(p)
-		x.Account(BucketStallLock, wait)
+		as.lock(x)
 		if !pte.Busy {
 			break
 		}
@@ -490,125 +496,43 @@ func (as *AS) fault(x Exec, vpn int, write bool) Outcome {
 		}
 	case pte.FarSlot != mem.NoFarSlot:
 		// Far-tier hit: promote the page back to DRAM at the tier's
-		// fixed latency instead of paying a disk fault. The slot is
-		// freed up front — identity travels with the in-flight page-in
-		// (Busy bit), so the page is never in two tiers at once.
+		// fixed latency instead of paying a disk fault.
 		outcome = FarFault
 		as.Stats.FarFaults++
 		as.Events.Emit(events.FaultFar, as.name, "", vpn, 0, 0)
 		x.System(as.params.FarCPU)
-		slot := as.Far.Slot(pte.FarSlot)
-		wasDirty := slot.Dirty
-		as.Far.Free(slot)
-		pte.FarSlot = mem.NoFarSlot
-		as.FarResident-- // with the slot gone, before any sleep: audits must see counter == slot PTEs
-		pte.Busy = true
-		as.beginPageIn(vpn)
+		dirty := as.takeFromFar(pte, vpn)
 		as.Memlock.Release(p)
-
 		frame, memWait := as.phys.Alloc(p, as, vpn)
 		x.Account(BucketStallMem, memWait)
-
-		lat := as.params.FarLatency
-		if extra := as.Chaos.FireDelay(chaos.FarSlow, as.name); extra > 0 {
-			lat += extra
-		}
-		start := p.Now()
-		p.Sleep(lat)
-		x.Account(BucketStallIO, p.Now()-start)
-
-		relock := as.Memlock.Acquire(p)
-		x.Account(BucketStallLock, relock)
-		pte.Frame = frame.ID
-		frame.Dirty = wasDirty
-		as.setPresent(pte, vpn, true)
-		as.setValid(pte, vpn, true)
-		pte.Busy = false
-		as.endPageIn(vpn)
-		pte.Why = InvalidNone
-		as.Stats.Promotions++
-		var d int64
-		if wasDirty {
-			d = 1
-		}
-		as.Events.Emit(events.TierPromote, as.name, "", vpn, 0, d)
-		as.grew()
-		as.notifyIn(vpn)
-		as.ioWait.WakeAll()
+		as.promoteIn(x, vpn, frame, dirty, viaFault)
 	case pte.Frame != mem.NoFrame && !as.params.NoRescue:
 		// The old frame is still on the free list: rescue it.
 		outcome = RescueFault
-		as.Stats.RescueFaults++
-		as.Events.Emit(events.FaultRescue, as.name, "", vpn, 0, 0)
-		x.System(as.params.RescueTime)
-		if pte.Frame == mem.NoFrame {
-			// Charging the rescue time descheduled us, and another
-			// process's Alloc took the frame off the free list and
-			// invalidated the mapping (FrameInvalidated does not take
-			// the memory lock). The rescue has failed; retry the
-			// fault from scratch — it will take the hard-fault path.
+		if !as.rescue(x, pte, vpn, viaFault) {
+			// The frame was reallocated during the charge: retry
+			// from scratch, which takes the hard-fault path.
 			as.Memlock.Release(p)
 			as.notifyActivity()
 			return as.fault(x, vpn, write)
 		}
-		as.phys.Rescue(as.phys.Frame(pte.Frame))
-		as.setPresent(pte, vpn, true)
-		as.setValid(pte, vpn, true)
-		pte.Why = InvalidNone
-		as.grew()
-		as.notifyIn(vpn)
 	default:
 		// Hard fault: allocate a frame and read from swap.
-		if pte.Frame != mem.NoFrame {
-			// NoRescue ablation: sever the old free-listed frame's
-			// identity so its eventual reallocation cannot clobber
-			// the new mapping.
-			as.phys.DropIdentity(as.phys.Frame(pte.Frame))
-			pte.Frame = mem.NoFrame
-		}
+		as.forgetFrame(pte)
 		outcome = HardFault
 		as.Stats.HardFaults++
 		as.Events.Emit(events.FaultHard, as.name, "", vpn, 0, 0)
 		x.System(as.params.HardFaultCPU)
-		pte.Busy = true
-		as.beginPageIn(vpn)
+		as.beginPageIn(pte, vpn)
 		// Swap-in clustering: start asynchronous reads for the
 		// following pages while we still hold the lock.
 		for k := 1; k < as.params.Readahead; k++ {
 			as.readahead(vpn + k)
 		}
 		as.Memlock.Release(p)
-
 		frame, memWait := as.phys.Alloc(p, as, vpn)
 		x.Account(BucketStallMem, memWait)
-
-		start := p.Now()
-		done := false
-		as.disks.Submit(as.swapPage(vpn), &disk.Request{
-			Op: disk.Read,
-			Done: func() {
-				done = true
-				p.Wake()
-			},
-		})
-		for !done {
-			p.Park()
-		}
-		x.Account(BucketStallIO, p.Now()-start)
-		as.Stats.PageIns++
-		as.Events.Emit(events.PageIn, as.name, "", vpn, 0, 0)
-
-		relock := as.Memlock.Acquire(p)
-		x.Account(BucketStallLock, relock)
-		pte.Frame = frame.ID
-		as.setPresent(pte, vpn, true)
-		as.setValid(pte, vpn, true)
-		pte.Busy = false
-		as.endPageIn(vpn)
-		pte.Why = InvalidNone
-		as.grew()
-		as.notifyIn(vpn)
-		as.ioWait.WakeAll()
+		as.readIn(x, vpn, frame, viaFault)
 	}
 
 	if write && pte.Present {
@@ -617,6 +541,152 @@ func (as *AS) fault(x Exec, vpn int, write bool) Outcome {
 	as.Memlock.Release(p)
 	as.notifyActivity()
 	return outcome
+}
+
+// The paging steps below are shared by every way a page comes in: a
+// demand fault, a prefetch ("actions similar to those that occur for a
+// page fault", §3.1.2) and swap readahead. Their via argument says who
+// is paging the page in and is the A value of the events they emit:
+// viaFault for a demand fault, viaAsync for readahead and for a
+// prefetch's far promotion or rescue, viaPrefetch for a prefetch's swap
+// read. Only a demand fault leaves the page valid (§3.1.2's second
+// exception); each caller keeps its own CPU charge, frame allocation
+// (the first exception: a prefetch never waits for memory) and lock
+// release.
+const (
+	viaFault    int64 = 0
+	viaAsync    int64 = 1
+	viaPrefetch int64 = 2
+)
+
+// lock takes Memlock, accounting the wait as a lock stall.
+func (as *AS) lock(x Exec) {
+	x.Account(BucketStallLock, as.Memlock.Acquire(x.Proc()))
+}
+
+// forgetFrame severs the identity of vpn's old free-listed frame before
+// a swap read replaces it (the NoRescue ablation), so the frame's
+// eventual reallocation cannot clobber the new mapping.
+func (as *AS) forgetFrame(pte *PTE) {
+	if pte.Frame != mem.NoFrame {
+		as.phys.DropIdentity(as.phys.Frame(pte.Frame))
+		pte.Frame = mem.NoFrame
+	}
+}
+
+// takeFromFar frees vpn's far slot and marks the page in flight,
+// returning the slot's dirty bit. The slot goes up front — the page's
+// identity travels with the Busy bit — so the page is never in two
+// tiers at once. Caller holds Memlock.
+func (as *AS) takeFromFar(pte *PTE, vpn int) (dirty bool) {
+	slot := as.Far.Slot(pte.FarSlot)
+	dirty = slot.Dirty
+	as.Far.Free(slot)
+	pte.FarSlot = mem.NoFarSlot
+	as.FarResident-- // with the slot gone, before any sleep: audits must see counter == slot PTEs
+	as.beginPageIn(pte, vpn)
+	return dirty
+}
+
+// promoteIn copies a page taken from the far tier into frame at the
+// tier's latency (stretched by injected FarSlow faults), then retakes
+// Memlock and installs it with the slot's dirty bit. The caller has
+// released Memlock; promoteIn returns holding it.
+func (as *AS) promoteIn(x Exec, vpn int, frame *mem.Frame, dirty bool, via int64) {
+	p := x.Proc()
+	lat := as.params.FarLatency
+	if extra := as.Chaos.FireDelay(chaos.FarSlow, as.name); extra > 0 {
+		lat += extra
+	}
+	start := p.Now()
+	p.Sleep(lat)
+	x.Account(BucketStallIO, p.Now()-start)
+	as.lock(x)
+	frame.Dirty = dirty
+	as.Stats.Promotions++
+	var d int64
+	if dirty {
+		d = 1
+	}
+	as.Events.Emit(events.TierPromote, as.name, "", vpn, via, d)
+	as.finishPageIn(vpn, frame, via)
+}
+
+// readIn reads vpn from swap into frame, parked until the disk
+// completes, then retakes Memlock and installs the page. The caller
+// has released Memlock; readIn returns holding it.
+func (as *AS) readIn(x Exec, vpn int, frame *mem.Frame, via int64) {
+	p := x.Proc()
+	start := p.Now()
+	done := false
+	as.disks.Submit(as.swapPage(vpn), &disk.Request{
+		Op: disk.Read,
+		Done: func() {
+			done = true
+			p.Wake()
+		},
+	})
+	for !done {
+		p.Park()
+	}
+	x.Account(BucketStallIO, p.Now()-start)
+	as.Stats.PageIns++
+	as.Events.Emit(events.PageIn, as.name, "", vpn, via, 0)
+	as.lock(x)
+	as.finishPageIn(vpn, frame, via)
+}
+
+// rescue takes vpn's old frame back off the free list, without I/O.
+// Charging RescueTime can deschedule the caller, and another process's
+// Alloc can then take the frame and invalidate the mapping
+// (FrameInvalidated does not take the memory lock), so rescue re-checks
+// the frame after the charge and returns false when it is gone, and
+// the caller then pages the page in without it. A demand fault is
+// counted before its service time is charged, a prefetch's rescue only
+// once it has succeeded. Caller holds Memlock.
+func (as *AS) rescue(x Exec, pte *PTE, vpn int, via int64) bool {
+	if via == viaFault {
+		as.Stats.RescueFaults++
+		as.Events.Emit(events.FaultRescue, as.name, "", vpn, via, 0)
+	}
+	x.System(as.params.RescueTime)
+	if pte.Frame == mem.NoFrame {
+		return false
+	}
+	if via != viaFault {
+		as.Stats.RescueFaults++
+		as.Events.Emit(events.FaultRescue, as.name, "", vpn, via, 0)
+	}
+	as.phys.Rescue(as.phys.Frame(pte.Frame))
+	as.mapIn(pte, vpn, via)
+	return true
+}
+
+// finishPageIn ends vpn's in-flight page-in: frame now holds the page.
+// Waiters on the page-in are woken last.
+func (as *AS) finishPageIn(vpn int, frame *mem.Frame, via int64) {
+	pte := &as.ptes[vpn]
+	pte.Frame = frame.ID
+	as.endPageIn(pte, vpn)
+	as.mapIn(pte, vpn, via)
+	as.ioWait.WakeAll()
+}
+
+// mapIn makes vpn resident in pte.Frame: valid after a demand fault,
+// otherwise invalid with no TLB entry, so the first real reference
+// takes a soft fault (§3.1.2). Every event of the page-in has been
+// emitted by now: the watcher's PageIn can emit shared-page events.
+func (as *AS) mapIn(pte *PTE, vpn int, via int64) {
+	as.setPresent(pte, vpn, true)
+	if via == viaFault {
+		as.setValid(pte, vpn, true)
+		pte.Why = InvalidNone
+	} else {
+		as.setValid(pte, vpn, false)
+		pte.Why = InvalidPrefetch
+	}
+	as.grew()
+	as.notifyIn(vpn)
 }
 
 // readahead starts an asynchronous swap-in of vpn if it is absent,
@@ -635,23 +705,14 @@ func (as *AS) readahead(vpn int) {
 	if !ok {
 		return
 	}
-	pte.Busy = true
-	as.beginPageIn(vpn)
+	as.beginPageIn(pte, vpn)
 	as.Stats.ReadaheadIns++
 	as.disks.Submit(as.swapPage(vpn), &disk.Request{
 		Op: disk.Read,
 		Done: func() {
-			pte.Frame = frame.ID
-			as.setPresent(pte, vpn, true)
-			as.setValid(pte, vpn, false)
-			pte.Why = InvalidPrefetch
-			pte.Busy = false
-			as.endPageIn(vpn)
-			as.grew()
 			as.Stats.PageIns++
-			as.Events.Emit(events.PageIn, as.name, "", vpn, 1, 0)
-			as.notifyIn(vpn)
-			as.ioWait.WakeAll()
+			as.Events.Emit(events.PageIn, as.name, "", vpn, viaAsync, 0)
+			as.finishPageIn(vpn, frame, viaAsync)
 		},
 	})
 }
@@ -678,99 +739,45 @@ const (
 func (as *AS) Prefetch(x Exec, vpn int) PrefetchResult {
 	p := x.Proc()
 	pte := &as.ptes[vpn]
-	if pte.Busy || (pte.Present) {
+	if pte.Busy || pte.Present {
 		return PrefetchAlreadyIn
 	}
 
-	wait := as.Memlock.Acquire(p)
-	x.Account(BucketStallLock, wait)
+	as.lock(x)
 	defer as.notifyActivity()
+	defer as.Memlock.Release(p)
 
 	if pte.Busy || pte.Present {
-		as.Memlock.Release(p)
 		return PrefetchAlreadyIn
 	}
-	if pte.FarSlot != mem.NoFarSlot {
-		// Demoted page: promote it out of the far tier instead of
-		// reading the stale swap copy. Like every prefetch, this is
-		// discarded rather than stealing memory when DRAM is full.
-		frame, ok := as.phys.TryAlloc(as, vpn)
-		if !ok {
-			as.Memlock.Release(p)
-			return PrefetchDiscarded
-		}
-		slot := as.Far.Slot(pte.FarSlot)
-		wasDirty := slot.Dirty
-		as.Far.Free(slot)
-		pte.FarSlot = mem.NoFarSlot
-		as.FarResident-- // with the slot gone, before any sleep: audits must see counter == slot PTEs
-		pte.Busy = true
-		as.beginPageIn(vpn)
-		x.System(as.params.FarCPU)
-		as.Memlock.Release(p)
-
-		lat := as.params.FarLatency
-		if extra := as.Chaos.FireDelay(chaos.FarSlow, as.name); extra > 0 {
-			lat += extra
-		}
-		start := p.Now()
-		p.Sleep(lat)
-		x.Account(BucketStallIO, p.Now()-start)
-
-		wait = as.Memlock.Acquire(p)
-		x.Account(BucketStallLock, wait)
-		pte.Frame = frame.ID
-		frame.Dirty = wasDirty
-		as.setPresent(pte, vpn, true)
-		as.setValid(pte, vpn, false) // not validated; no TLB entry
-		pte.Why = InvalidPrefetch
-		pte.Busy = false
-		as.endPageIn(vpn)
-		as.Stats.Promotions++
-		var d int64
-		if wasDirty {
-			d = 1
-		}
-		as.Events.Emit(events.TierPromote, as.name, "", vpn, 1, d)
-		as.grew()
-		as.notifyIn(vpn)
-		as.ioWait.WakeAll()
-		as.Memlock.Release(p)
-		return PrefetchPromoted
-	}
-	if pte.Frame != mem.NoFrame && as.params.NoRescue {
-		as.phys.DropIdentity(as.phys.Frame(pte.Frame))
-		pte.Frame = mem.NoFrame
-	}
-	if pte.Frame != mem.NoFrame {
-		// Rescue from the free list; cheap, no I/O.
-		x.System(as.params.RescueTime)
-		as.phys.Rescue(as.phys.Frame(pte.Frame))
-		as.setPresent(pte, vpn, true)
-		as.setValid(pte, vpn, false)
-		pte.Why = InvalidPrefetch
-		as.grew()
-		as.Stats.RescueFaults++
-		as.Events.Emit(events.FaultRescue, as.name, "", vpn, 1, 0)
-		as.notifyIn(vpn)
-		as.Memlock.Release(p)
+	// Rescue from the free list; cheap, no I/O. A rescue that loses its
+	// frame falls through to the swap read: the lock is still held, so
+	// nothing else about the page can have changed.
+	if pte.Frame != mem.NoFrame && !as.params.NoRescue && as.rescue(x, pte, vpn, viaAsync) {
 		return PrefetchRescued
 	}
+	as.forgetFrame(pte)
 
 	// "If there is no free memory, the request is discarded
 	// immediately. This feature prevents memory from being stolen to
 	// satisfy prefetches when the demand for memory is high."
 	frame, ok := as.phys.TryAlloc(as, vpn)
 	if !ok {
-		as.Memlock.Release(p)
 		return PrefetchDiscarded
 	}
-
+	if pte.FarSlot != mem.NoFarSlot {
+		// Demoted page: promote it out of the far tier instead of
+		// reading the stale swap copy.
+		dirty := as.takeFromFar(pte, vpn)
+		x.System(as.params.FarCPU)
+		as.Memlock.Release(p)
+		as.promoteIn(x, vpn, frame, dirty, viaAsync)
+		return PrefetchPromoted
+	}
 	// Mark the page in flight before anything can block (the System
 	// charge yields the CPU): the allocated frame must always be
 	// traceable through the Busy bit.
-	pte.Busy = true
-	as.beginPageIn(vpn)
+	as.beginPageIn(pte, vpn)
 	x.System(as.params.HardFaultCPU)
 	// "performs actions similar to those that occur for a page fault":
 	// that includes swap-in clustering.
@@ -778,35 +785,7 @@ func (as *AS) Prefetch(x Exec, vpn int) PrefetchResult {
 		as.readahead(vpn + k)
 	}
 	as.Memlock.Release(p)
-
-	start := p.Now()
-	done := false
-	as.disks.Submit(as.swapPage(vpn), &disk.Request{
-		Op: disk.Read,
-		Done: func() {
-			done = true
-			p.Wake()
-		},
-	})
-	for !done {
-		p.Park()
-	}
-	x.Account(BucketStallIO, p.Now()-start)
-	as.Stats.PageIns++
-	as.Events.Emit(events.PageIn, as.name, "", vpn, 2, 0)
-
-	wait = as.Memlock.Acquire(p)
-	x.Account(BucketStallLock, wait)
-	pte.Frame = frame.ID
-	as.setPresent(pte, vpn, true)
-	as.setValid(pte, vpn, false) // not validated; no TLB entry
-	pte.Why = InvalidPrefetch
-	pte.Busy = false
-	as.endPageIn(vpn)
-	as.grew()
-	as.notifyIn(vpn)
-	as.ioWait.WakeAll()
-	as.Memlock.Release(p)
+	as.readIn(x, vpn, frame, viaPrefetch)
 	return PrefetchRead
 }
 
@@ -930,13 +909,13 @@ func (as *AS) MarkClockCandidate(vpn int) {
 	}
 }
 
-// WritebackSwapPage returns the striped swap page number for vpn, for
-// daemons issuing writebacks.
-func (as *AS) WritebackSwapPage(vpn int) int64 { return as.swapPage(vpn) }
-
-// Disks exposes the disk array (for daemons sharing the AS's backing
-// store).
-func (as *AS) Disks() *disk.Array { return as.disks }
+// WriteBack writes vpn's page to its swap slot, for a reclaimer that
+// has just freed it dirty. The frame is already free; the write only
+// occupies the disk.
+func (as *AS) WriteBack(vpn int) {
+	as.Stats.Writebacks++
+	as.disks.Submit(as.swapPage(vpn), &disk.Request{Op: disk.Write})
+}
 
 // Phys exposes the physical pool.
 func (as *AS) Phys() *mem.Phys { return as.phys }

@@ -568,3 +568,113 @@ func TestResidencyBitmapsMirrorPTEs(t *testing.T) {
 	})
 	check("after run")
 }
+
+// TestPrefetchRescueRace regresses a crash: a prefetch that finds its
+// page's old frame on the free list charges RescueTime before unlinking
+// it, and another address space's allocation can take the frame during
+// that charge (FrameInvalidated does not take the memory lock). The
+// rescue must re-check the frame after the charge and fall back instead
+// of rescuing a frame that is no longer the page's.
+func TestPrefetchRescueRace(t *testing.T) {
+	r := newRig(1, 8)
+	other := NewAS("other", 1, 8, 1000, r.phys, r.dk, testParams())
+	var res PrefetchResult
+	r.inProc(t, func(x *testExec) {
+		r.as.Touch(x, 0, false)
+		r.as.ClearValid(0, InvalidDaemon)
+		if freed, _ := r.as.TryReclaim(0, mem.FreedDaemon); !freed {
+			t.Fatal("reclaim failed")
+		}
+		r.s.SpawnAt(x.proc.Now()+10*sim.Microsecond, "other", func(*sim.Proc) {
+			if _, ok := r.phys.TryAlloc(other, 0); !ok {
+				t.Error("other could not take the free frame")
+			}
+		})
+		res = r.as.Prefetch(x, 0)
+	})
+	if res != PrefetchDiscarded {
+		t.Fatalf("prefetch whose rescue lost the frame = %v, want discarded", res)
+	}
+	if f := r.phys.Frame(0); f.Owner != other || f.OnFreeList() {
+		t.Fatalf("frame 0 owner = %v (free-listed %v), want other", f.Owner, f.OnFreeList())
+	}
+	if r.as.IsResident(0) || r.as.PageInInFlight(0) {
+		t.Fatal("page 0 resident or in flight after a discarded prefetch")
+	}
+}
+
+// TestPageInEntryPoints drives each way a page arrives in DRAM — the
+// two far-tier promotions, the two swap reads, and swap readahead —
+// and checks the state each leaves: only a demand fault validates the
+// page (§3.1.2), and a promotion carries the far slot's dirty bit.
+func TestPageInEntryPoints(t *testing.T) {
+	touch := func(vpn int) func(*testExec, *AS) {
+		return func(x *testExec, as *AS) { as.Touch(x, vpn, false) }
+	}
+	prefetch := func(vpn int) func(*testExec, *AS) {
+		return func(x *testExec, as *AS) { as.Prefetch(x, vpn) }
+	}
+	cases := []struct {
+		name      string
+		readahead int
+		far       bool // vpn is dirtied and demoted to the far tier first
+		act       func(*testExec, *AS)
+		vpn       int
+		valid     bool
+		why       InvalidReason
+		dirty     bool
+		pageIns   int64
+		promoted  int64
+	}{
+		{name: "fault far hit", far: true, act: touch(2), vpn: 2, valid: true, why: InvalidNone, dirty: true, promoted: 1},
+		{name: "prefetch far promotion", far: true, act: prefetch(2), vpn: 2, why: InvalidPrefetch, dirty: true, promoted: 1},
+		{name: "demand hard fault", act: touch(2), vpn: 2, valid: true, why: InvalidNone, pageIns: 1},
+		{name: "prefetch read", act: prefetch(2), vpn: 2, why: InvalidPrefetch, pageIns: 1},
+		{name: "readahead", readahead: 2, act: touch(1), vpn: 2, why: InvalidPrefetch, pageIns: 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := sim.New()
+			phys := mem.New(s, 8)
+			params := testParams()
+			params.Readahead = c.readahead
+			params.FarLatency = 50 * sim.Microsecond
+			params.FarCPU = 10 * sim.Microsecond
+			as := NewAS("pi", 0, 8, 0, phys, disk.New(s, testDiskCfg()), params)
+			as.Far = mem.NewFarTier(8, 1)
+			var before Stats
+			s.Spawn("t", func(p *sim.Proc) {
+				x := &testExec{proc: p}
+				if c.far {
+					as.Touch(x, c.vpn, true)
+					as.InvalidateForRelease(c.vpn)
+					if ok, _ := as.TryDemote(c.vpn); !ok {
+						t.Error("demotion failed")
+					}
+				}
+				before = as.Stats
+				c.act(x, as)
+			})
+			s.Run(0)
+			pte := as.PTE(c.vpn)
+			if !pte.Present || pte.Busy || pte.FarSlot != mem.NoFarSlot {
+				t.Fatalf("pte = %+v, want resident, idle, out of the far tier", *pte)
+			}
+			if pte.Valid != c.valid || pte.Why != c.why {
+				t.Errorf("valid = %v why = %v, want %v %v", pte.Valid, pte.Why, c.valid, c.why)
+			}
+			if d := phys.Frame(pte.Frame).Dirty; d != c.dirty {
+				t.Errorf("frame dirty = %v, want %v", d, c.dirty)
+			}
+			if d := as.Stats.PageIns - before.PageIns; d != c.pageIns {
+				t.Errorf("PageIns delta = %d, want %d", d, c.pageIns)
+			}
+			if d := as.Stats.Promotions - before.Promotions; d != c.promoted {
+				t.Errorf("Promotions delta = %d, want %d", d, c.promoted)
+			}
+			if as.FarResident != 0 || as.InFlightPageIns() != 0 {
+				t.Errorf("FarResident = %d, in flight = %d, want 0 0", as.FarResident, as.InFlightPageIns())
+			}
+		})
+	}
+}
