@@ -58,6 +58,7 @@ func TestCertCrossValidation(t *testing.T) {
 	if strings.Contains(out, "NO") {
 		t.Errorf("table shows violated cells:\n%s", out)
 	}
+	checkDigest(t, "cert cross-validation", out, "a3a7e9c57fb5bc48f7ed80f3671f476081d0cdedb0370b0a45e1ac8d3becb010")
 }
 
 // TestModeVersion pins the mode → certificate-version mapping over

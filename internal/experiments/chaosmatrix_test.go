@@ -35,6 +35,7 @@ func TestChaosMatrixQuick(t *testing.T) {
 	if out == "" {
 		t.Fatal("empty chaos matrix rendering")
 	}
+	checkDigest(t, "chaos matrix matvec seed 7", out, "4da950ae5f5c3b96acee408d66ad699863f73aea444d6c0c52c146363994fc77")
 }
 
 // TestChaosMatrixDeterministic replays one cell with the same seed

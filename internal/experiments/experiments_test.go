@@ -1,12 +1,26 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"memhogs/internal/rt"
 	"memhogs/internal/sim"
 )
+
+// checkDigest pins the exact bytes of a rendered campaign output. The
+// serial-versus-parallel checks only prove a campaign deterministic;
+// the digest proves it unchanged. A deliberate behaviour change must
+// update the digest and say why.
+func checkDigest(t *testing.T, name, out, want string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("%s: sha256 %s, want %s\n%s", name, got, want, out)
+	}
+}
 
 func TestTable1Renders(t *testing.T) {
 	out := Table1(Default()).String()
@@ -152,6 +166,7 @@ func TestSensitivitySweep(t *testing.T) {
 	if !strings.Contains(out, "mem/data") {
 		t.Fatalf("format malformed:\n%s", out)
 	}
+	checkDigest(t, "sensitivity matvec", out, "78b6522597238545f91b971281155d465faa9563c3575307b3c70fe2cbc173f1")
 }
 
 func TestOptsDefaults(t *testing.T) {

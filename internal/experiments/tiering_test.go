@@ -29,6 +29,7 @@ func TestTieringParallelMatchesSerial(t *testing.T) {
 	if a != b {
 		t.Fatalf("tiering table differs between -j1 and -j4:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
 	}
+	checkDigest(t, "tiering fftpde", a, "b8f31d63a832f38de668a21608c59015963e7be169077245cdbf5ea7e81c0e65")
 	if err := serial.Check(); err != nil {
 		t.Fatal(err)
 	}

@@ -62,4 +62,5 @@ func TestVetCrossValidation(t *testing.T) {
 	if strings.Contains(out, "NO") {
 		t.Errorf("table shows unconfirmed rows:\n%s", out)
 	}
+	checkDigest(t, "vet cross-validation", out, "3134b282bdee03c9d56a0769322393941ad33215db8eb547e983fad5b6dc1525")
 }
