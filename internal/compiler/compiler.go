@@ -123,10 +123,6 @@ type Compiled struct {
 	indirect []*xref // every a[b[i]] reference, in finalize order
 }
 
-// NumTags returns the number of distinct hint tags (request
-// identifiers) the compiler placed.
-func (c *Compiled) NumTags() int { return c.numTags }
-
 // Compile analyzes and transforms a program for the given target.
 func Compile(prog *lang.Program, tgt Target) (*Compiled, error) {
 	if tgt.PageSize <= 0 || tgt.MemoryPages <= 0 {

@@ -135,9 +135,6 @@ func (a *Array) NumDisks() int { return len(a.disks) }
 // Stats returns a snapshot of the aggregate counters.
 func (a *Array) Stats() Stats { return a.stats }
 
-// ResetStats zeroes the aggregate counters.
-func (a *Array) ResetStats() { a.stats = Stats{} }
-
 // DiskFor maps a striped swap page number to its disk index. Swap is
 // striped with a one-page stripe unit.
 func (a *Array) DiskFor(swapPage int64) int {
@@ -158,10 +155,6 @@ func (a *Array) Submit(swapPage int64, req *Request) {
 	d.queue = append(d.queue, req)
 	d.work.WakeOne()
 }
-
-// QueueDepth returns the number of requests queued (not yet completed)
-// on disk i. Exposed for tests.
-func (a *Array) QueueDepth(i int) int { return len(a.disks[i].queue) }
 
 // pickNext chooses the next request CSCAN-style: the lowest block at
 // or beyond the current head position, wrapping to the lowest block

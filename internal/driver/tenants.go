@@ -92,7 +92,7 @@ type TenantResult struct {
 
 // Percentile returns the q-quantile (0 < q <= 1) of an ascending
 // sorted slice by the nearest-rank definition sorted[ceil(q*n)-1] —
-// p999 of 1000 samples is the 1000th, of 2000 the 1999th. Zero
+// p999 of 1000 samples is the 999th, of 2000 the 1998th. Zero
 // samples yield zero.
 func Percentile(sorted []sim.Time, q float64) sim.Time {
 	n := len(sorted)
@@ -157,7 +157,6 @@ func RunTenants(spec *workload.Spec, cfg TenantConfig) (*TenantResult, error) {
 	}
 	responses := make([]sim.Time, 0, len(arrivals))
 	for i, at := range arrivals {
-		i, at := i, at
 		sys.Sim.At(at, func() {
 			res.Arrived++
 			job := sys.NewProcess(fmt.Sprintf("job%d", i), cfg.JobPages)

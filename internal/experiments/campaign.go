@@ -2,48 +2,59 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
+
+	"memhogs/internal/rt"
+	"memhogs/internal/workload"
 )
 
-// This file is the campaign engine: every experiment campaign
-// (Versions, Interactive, Sweep, sensitivity, vet cross-validation)
-// enumerates its planned runs up front as jobs and hands them to a
-// worker pool. Each simulation run is a self-contained deterministic
-// discrete-event simulation, so execution order cannot affect any
-// result; each job writes into a slot assigned at enumeration time,
-// and the assembled dataset — and therefore every rendered figure and
-// table — is byte-identical whether the campaign ran on one worker or
+// This file is the campaign engine: every experiment campaign lists
+// its planned runs up front as plain cell values and hands them, with
+// one per-cell run function, to runCells. Each simulation run is a
+// self-contained deterministic discrete-event simulation, so execution
+// order cannot affect any result, and runCells returns results in cell
+// order: the assembled dataset, and therefore every rendered figure and
+// table, is byte-identical whether the campaign ran on one worker or
 // many.
 
-// progressSink serializes campaign progress output. Workers complete
-// runs in nondeterministic order, so each line must be written
-// atomically and its text must be computed only from the job's own
-// run — never from another job's result, which may not exist yet.
-type progressSink struct {
-	mu sync.Mutex
-	w  io.Writer
+// cell is one benchmark × version run of a campaign; campaigns with a
+// further axis (a sleep time, a DRAM:far ratio, a fault class) embed
+// it. A nil spec is the run-alone baseline: the interactive task on an
+// otherwise idle machine.
+type cell struct {
+	spec *workload.Spec
+	mode rt.Mode
 }
 
-func newProgressSink(w io.Writer) *progressSink { return &progressSink{w: w} }
+func (c cell) String() string { return c.spec.Name + "/" + c.mode.String() }
 
-func (p *progressSink) printf(format string, args ...interface{}) {
-	if p.w == nil {
-		return
+// grid enumerates specs × modes, benchmark-major.
+func grid(specs []*workload.Spec, modes []rt.Mode) []cell {
+	cells := make([]cell, 0, len(specs)*len(modes))
+	for _, spec := range specs {
+		for _, mode := range modes {
+			cells = append(cells, cell{spec, mode})
+		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, format, args...)
+	return cells
 }
 
-// job is one schedulable unit of a campaign: one simulation run (or
-// one baseline measurement). run stores its result through a pointer
-// chosen when the job was enumerated and returns any error already
-// wrapped with the job's identity.
-type job struct {
-	label string
-	run   func() error
+// byBenchMode files each cell's result under [bench][mode].
+func byBenchMode[R any](cells []cell, res []R) map[string]map[rt.Mode]R {
+	m := map[string]map[rt.Mode]R{}
+	for i, c := range cells {
+		entry(m, c.spec.Name)[c.mode] = res[i]
+	}
+	return m
+}
+
+// entry returns m[k], making it first if absent.
+func entry[K, K2 comparable, V any](m map[K]map[K2]V, k K) map[K2]V {
+	if m[k] == nil {
+		m[k] = map[K2]V{}
+	}
+	return m[k]
 }
 
 // workers resolves the pool size: the Workers knob if set, otherwise
@@ -58,30 +69,52 @@ func (o Opts) workers() int {
 	return 1
 }
 
-// runJobs executes the jobs on a pool of o.workers() goroutines.
-// Workers pull jobs in enumeration order. The first failure cancels
-// every job not yet started; jobs already in flight run to completion.
-// The returned error is deterministic even when several jobs fail:
-// because jobs are started in order and started jobs always finish
-// and record, the lowest-index failing job is always among the
-// recorded failures, and it is the one reported.
-func runJobs(o Opts, jobs []job) error {
-	n := o.workers()
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	if n <= 1 {
-		for i := range jobs {
-			if err := jobs[i].run(); err != nil {
-				return err
-			}
+// runCells runs every cell on a pool of o.workers() goroutines and
+// returns the results in cell order. A cell that succeeds writes
+// exactly one "label: summary" line to o.Progress (perfbench counts
+// these lines as the campaign's operations); a cell that fails returns
+// its error as "label: err". Lines are written atomically and arrive
+// in completion order, so a summary must depend only on its own cell.
+//
+// Workers pull cells in order. The first failure cancels every cell
+// not yet started; cells already in flight run to completion. The
+// returned error is deterministic even when several cells fail:
+// because cells start in order and started cells always finish and
+// record, the lowest-index failing cell is always among the recorded
+// failures, and it is the one reported.
+func runCells[C, R any](o Opts, cells []C, label func(C) string, run func(C) (R, string, error)) ([]R, error) {
+	res := make([]R, len(cells))
+	var progress sync.Mutex // serializes progress lines
+	do := func(i int) error {
+		r, summary, err := run(cells[i])
+		if err != nil {
+			return fmt.Errorf("%s: %w", label(cells[i]), err)
+		}
+		res[i] = r
+		if o.Progress != nil {
+			progress.Lock()
+			fmt.Fprintf(o.Progress, "%s: %s\n", label(cells[i]), summary)
+			progress.Unlock()
 		}
 		return nil
 	}
+
+	n := o.workers()
+	if n > len(cells) {
+		n = len(cells)
+	}
+	if n <= 1 {
+		for i := range cells {
+			if err := do(i); err != nil {
+				return nil, err
+			}
+		}
+		return res, nil
+	}
 	var (
-		mu       sync.Mutex
+		mu       sync.Mutex // guards next, firstIdx and firstErr
 		next     int
-		firstIdx = len(jobs)
+		firstIdx = len(cells)
 		firstErr error
 		wg       sync.WaitGroup
 	)
@@ -91,14 +124,14 @@ func runJobs(o Opts, jobs []job) error {
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if firstErr != nil || next >= len(jobs) {
+				if firstErr != nil || next >= len(cells) {
 					mu.Unlock()
 					return
 				}
 				i := next
 				next++
 				mu.Unlock()
-				if err := jobs[i].run(); err != nil {
+				if err := do(i); err != nil {
 					mu.Lock()
 					if i < firstIdx {
 						firstIdx, firstErr = i, err
@@ -109,5 +142,8 @@ func runJobs(o Opts, jobs []job) error {
 		}()
 	}
 	wg.Wait()
-	return firstErr
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return res, nil
 }

@@ -75,9 +75,19 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 	}
 
 	// Progress lines arrive in completion order under a parallel
-	// campaign, but the multiset of lines is identical.
+	// campaign, but the multiset of lines is identical, and both runs
+	// print exactly one line per cell: perfbench counts these lines as
+	// the campaign's operations.
 	sLines := strings.Split(strings.TrimRight(serialLog.String(), "\n"), "\n")
 	pLines := strings.Split(strings.TrimRight(parallelLog.String(), "\n"), "\n")
+	sleeps := map[sim.Time]bool{}
+	for _, s := range o.SleepTimes {
+		sleeps[s] = true
+	}
+	cells := len(sleeps)*(1+len(Modes)) + 2*len(o.Benches)*len(Modes) + 1
+	if len(sLines) != cells || len(pLines) != cells {
+		t.Errorf("progress lines: serial %d, parallel %d, want one per cell (%d)", len(sLines), len(pLines), cells)
+	}
 	sort.Strings(sLines)
 	sort.Strings(pLines)
 	if !equalStrings(sLines, pLines) {
@@ -105,58 +115,74 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// The first failing job cancels every job not yet started, and the
+// The first failing cell cancels every cell not yet started, the
 // reported error is the lowest-index failure no matter how the pool
-// interleaves.
-func TestRunJobsErrorPropagation(t *testing.T) {
+// interleaves, and it carries that cell's label.
+func TestRunCellsErrorPropagation(t *testing.T) {
 	o := Quick()
 	o.Workers = 4
-	failLow := errors.New("job 2 failed")
-	failHigh := errors.New("job 50 failed")
+	failLow := errors.New("cell 2 failed")
+	failHigh := errors.New("cell 50 failed")
 	var started int64
-	var jobs []job
-	for i := 0; i < 200; i++ {
-		i := i
-		jobs = append(jobs, job{
-			label: fmt.Sprintf("job %d", i),
-			run: func() error {
-				atomic.AddInt64(&started, 1)
-				switch i {
-				case 2:
-					return failLow
-				case 50:
-					return failHigh
-				}
-				return nil
-			},
-		})
+	cells := make([]int, 200)
+	for i := range cells {
+		cells[i] = i
 	}
-	err := runJobs(o, jobs)
+	res, err := runCells(o, cells,
+		func(i int) string { return fmt.Sprintf("cell %d", i) },
+		func(i int) (int, string, error) {
+			atomic.AddInt64(&started, 1)
+			switch i {
+			case 2:
+				return 0, "", failLow
+			case 50:
+				return 0, "", failHigh
+			}
+			return i, "ok", nil
+		})
 	if !errors.Is(err, failLow) {
 		t.Fatalf("err = %v, want the lowest-index failure", err)
 	}
+	if !strings.HasPrefix(err.Error(), "cell 2: ") {
+		t.Errorf("err = %q, want it labelled with its cell", err)
+	}
+	if res != nil {
+		t.Errorf("failed campaign returned results %v", res)
+	}
 	// The failure must have cancelled the bulk of the queue. Workers in
-	// flight when job 2 fails may still start a handful more.
+	// flight when cell 2 fails may still start a handful more.
 	if n := atomic.LoadInt64(&started); n >= 200 {
-		t.Errorf("all %d jobs ran; failure did not cancel the rest", n)
+		t.Errorf("all %d cells ran; failure did not cancel the rest", n)
 	}
 }
 
-func TestRunJobsSerialStopsAtFirstError(t *testing.T) {
+func TestRunCellsSerialStopsAtFirstError(t *testing.T) {
 	o := Quick()
 	o.Workers = 1
+	var progress bytes.Buffer
+	o.Progress = &progress
 	boom := errors.New("boom")
 	var ran int
-	jobs := []job{
-		{label: "ok", run: func() error { ran++; return nil }},
-		{label: "fail", run: func() error { ran++; return boom }},
-		{label: "never", run: func() error { ran++; return nil }},
-	}
-	if err := runJobs(o, jobs); !errors.Is(err, boom) {
+	_, err := runCells(o, []string{"ok", "fail", "never"},
+		func(c string) string { return c },
+		func(c string) (string, string, error) {
+			ran++
+			if c == "fail" {
+				return "", "", boom
+			}
+			return c, "done", nil
+		})
+	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
+	if err.Error() != "fail: boom" {
+		t.Errorf("err = %q, want it labelled with its cell", err)
+	}
 	if ran != 2 {
-		t.Errorf("ran = %d jobs, want 2 (stop at first error)", ran)
+		t.Errorf("ran = %d cells, want 2 (stop at first error)", ran)
+	}
+	if got := progress.String(); got != "ok: done\n" {
+		t.Errorf("progress = %q, want one line for the one successful cell", got)
 	}
 }
 

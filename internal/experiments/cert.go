@@ -126,98 +126,81 @@ type CertCrossValidation struct {
 // RunCertCrossValidation certifies every benchmark × mode × DRAM:far
 // ratio cell statically against the split budget and runs it once
 // with the flight recorder installed, comparing both tiers' observed
-// peaks against their certificates. One job per cell runs on the
-// campaign worker pool; rows land in pre-allocated slots, so the
-// result is identical at any worker count.
+// peaks against their certificates. The cells run on the campaign
+// worker pool, so the rows are identical at any worker count.
 func RunCertCrossValidation(o Opts) (*CertCrossValidation, error) {
 	specs, err := o.specs()
 	if err != nil {
 		return nil, err
 	}
 	kcfg := o.kernelConfig()
-	sink := newProgressSink(o.Progress)
 	cache := driver.NewCompileCache()
-	stride := len(certModes) * len(TieringRatios)
-	slots := make([]CertCell, len(specs)*stride)
-	var jobs []job
-	for i, spec := range specs {
-		for j, mode := range certModes {
-			for k, ratio := range TieringRatios {
-				slot := &slots[i*stride+j*len(TieringRatios)+k]
-				spec, mode, ratio := spec, mode, ratio
-				jobs = append(jobs, job{
-					label: fmt.Sprintf("certify %s/%s@%s", spec.Name, mode, ratio),
-					run: func() error {
-						// The certificate interprets the same compilation the
-						// run executes, against the same split budget.
-						cfg := o.tieringConfig(mode, ratio, cache)
-						cfg.OnSystem = func(sys *kernel.System) {
-							sys.SetEvents(events.New(sys.Sim, 1<<16))
-						}
-						dram, far := cfg.Kernel.UserMemPages, cfg.Kernel.Far.Pages
-						tgt := driver.Target(cfg.Kernel, mode)
-						comp, err := cache.Compile(spec, nil, tgt)
-						if err != nil {
-							return fmt.Errorf("compile %s: %w", spec.Name, err)
-						}
-						ver := modeVersion(mode)
-						fopts := footprint.Opts{Params: spec.Params, FarPages: far, FarMinPrio: kcfg.Far.MinPrio}
-						cert := footprint.Certify(comp.Prog, tgt, comp.Hints(), ver, fopts)
-
-						// hogvet's far-overflow verdict for the cell, through
-						// the verifier's own path.
-						hv014 := false
-						if far > 0 && len(comp.Hints()) > 0 {
-							vopts := hogvet.DefaultOptions()
-							vopts.Params = spec.Params
-							vopts.FarPages = far
-							vopts.FarMinPrio = kcfg.Far.MinPrio
-							for _, d := range hogvet.VetSchedule(comp.Prog, tgt, comp.Hints(), vopts) {
-								if d.Code == "HV014" {
-									hv014 = true
-								}
-							}
-						}
-
-						r, err := driver.Run(spec, cfg)
-						if err != nil {
-							return fmt.Errorf("certify %s/%s@%s: %w", spec.Name, mode, ratio, err)
-						}
-
-						cell := CertCell{
-							Bench:           spec.Name,
-							Mode:            mode,
-							Version:         ver,
-							Ratio:           ratio,
-							DRAMPages:       dram,
-							FarPages:        far,
-							BoundPages:      cert.BoundPages,
-							CertifiedPages:  cert.CertifiedPages,
-							Clamped:         cert.Clamped,
-							FarBoundPages:   cert.FarBoundPages,
-							FarCertified:    cert.FarCertifiedPages,
-							ObservedPeak:    r.VM.PeakResident,
-							ObservedFarPeak: r.VM.PeakFarResident,
-							HV014:           hv014,
-						}
-						cell.SoundDRAM = cell.ObservedPeak <= cell.CertifiedPages
-						cell.SoundFar = cell.ObservedFarPeak <= cell.FarCertified
-						cell.TightDeclared = affineBenches[spec.Name] && !ver.UsesRelease() && far == 0
-						cell.Tight = float64(cell.ObservedPeak) >= certTightFrac*float64(cell.CertifiedPages)
-						*slot = cell
-						sink.printf("certify %s/%s@%s: dram %d/%d, far %d/%d\n",
-							spec.Name, mode, ratio, cell.ObservedPeak, cell.CertifiedPages,
-							cell.ObservedFarPeak, cell.FarCertified)
-						return nil
-					},
-				})
+	rows, err := runCells(o, tierCells(specs, certModes),
+		func(c tierCell) string { return "certify " + c.String() },
+		func(c tierCell) (CertCell, string, error) {
+			// The certificate interprets the same compilation the run
+			// executes, against the same split budget.
+			cfg := o.tieringConfig(c.mode, c.ratio, cache)
+			cfg.OnSystem = func(sys *kernel.System) {
+				sys.SetEvents(events.New(sys.Sim, 1<<16))
 			}
-		}
-	}
-	if err := runJobs(o, jobs); err != nil {
+			dram, far := cfg.Kernel.UserMemPages, cfg.Kernel.Far.Pages
+			tgt := driver.Target(cfg.Kernel, c.mode)
+			comp, err := cache.Compile(c.spec, nil, tgt)
+			if err != nil {
+				return CertCell{}, "", fmt.Errorf("compile: %w", err)
+			}
+			ver := modeVersion(c.mode)
+			fopts := footprint.Opts{Params: c.spec.Params, FarPages: far, FarMinPrio: kcfg.Far.MinPrio}
+			cert := footprint.Certify(comp.Prog, tgt, comp.Hints(), ver, fopts)
+
+			// hogvet's far-overflow verdict for the cell, through the
+			// verifier's own path.
+			hv014 := false
+			if far > 0 && len(comp.Hints()) > 0 {
+				vopts := hogvet.DefaultOptions()
+				vopts.Params = c.spec.Params
+				vopts.FarPages = far
+				vopts.FarMinPrio = kcfg.Far.MinPrio
+				for _, d := range hogvet.VetSchedule(comp.Prog, tgt, comp.Hints(), vopts) {
+					if d.Code == "HV014" {
+						hv014 = true
+					}
+				}
+			}
+
+			r, err := driver.Run(c.spec, cfg)
+			if err != nil {
+				return CertCell{}, "", err
+			}
+
+			row := CertCell{
+				Bench:           c.spec.Name,
+				Mode:            c.mode,
+				Version:         ver,
+				Ratio:           c.ratio,
+				DRAMPages:       dram,
+				FarPages:        far,
+				BoundPages:      cert.BoundPages,
+				CertifiedPages:  cert.CertifiedPages,
+				Clamped:         cert.Clamped,
+				FarBoundPages:   cert.FarBoundPages,
+				FarCertified:    cert.FarCertifiedPages,
+				ObservedPeak:    r.VM.PeakResident,
+				ObservedFarPeak: r.VM.PeakFarResident,
+				HV014:           hv014,
+			}
+			row.SoundDRAM = row.ObservedPeak <= row.CertifiedPages
+			row.SoundFar = row.ObservedFarPeak <= row.FarCertified
+			row.TightDeclared = affineBenches[c.spec.Name] && !ver.UsesRelease() && far == 0
+			row.Tight = float64(row.ObservedPeak) >= certTightFrac*float64(row.CertifiedPages)
+			return row, fmt.Sprintf("dram %d/%d, far %d/%d",
+				row.ObservedPeak, row.CertifiedPages, row.ObservedFarPeak, row.FarCertified), nil
+		})
+	if err != nil {
 		return nil, err
 	}
-	return &CertCrossValidation{Opts: o, Rows: slots}, nil
+	return &CertCrossValidation{Opts: o, Rows: rows}, nil
 }
 
 // Validate returns the first violated contract. Per cell: both tiers

@@ -56,69 +56,59 @@ func RunChaosMatrix(o Opts, seed uint64) (*ChaosMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	type chaosCell struct {
+		cell
+		class string
+	}
+	classes := chaos.ClassNames()
+	var cells []chaosCell
+	for _, spec := range specs {
+		for _, class := range classes {
+			for _, mode := range Modes {
+				cells = append(cells, chaosCell{cell{spec, mode}, class})
+			}
+		}
+	}
+	cache := driver.NewCompileCache()
+	res, err := runCells(o, cells,
+		func(c chaosCell) string { return fmt.Sprintf("chaos %s/%s/%s", c.spec.Name, c.class, c.mode) },
+		func(c chaosCell) (*driver.Result, string, error) {
+			plan, err := chaos.ClassPlan(c.class, chaosCellSeed(seed, c.spec.Name, c.class, c.mode))
+			if err != nil {
+				return nil, "", err
+			}
+			cfg := o.runConfig(c.mode, cache)
+			cfg.Chaos = &plan
+			cfg.AuditEvery = o.chaosAuditEvery()
+			cfg.AuditOnFault = true
+			// The far class aims its faults at the far tier, so its
+			// cells must run with one: split the budget 3:1 like the
+			// tiering campaign's first split. Other classes keep the
+			// all-DRAM machine, leaving their cells untouched by the
+			// tier's existence.
+			if c.class == "far" {
+				dram, far := (TierRatio{3, 1}).Split(cfg.Kernel.UserMemPages)
+				cfg.Kernel.UserMemPages = dram
+				cfg.Kernel.Far.Pages = far
+			}
+			r, err := driver.Run(c.spec, cfg)
+			if err != nil {
+				return nil, "", err
+			}
+			return r, fmt.Sprintf("%v, %d faults, %d audits", r.Elapsed, r.Chaos.Total(), r.AuditTicks), nil
+		})
+	if err != nil {
+		return nil, err
+	}
 	m := &ChaosMatrix{
 		Opts:    o,
 		Seed:    seed,
-		Classes: chaos.ClassNames(),
+		Classes: classes,
 		Specs:   specs,
 		Results: map[string]map[string]map[rt.Mode]*driver.Result{},
 	}
-	cache := driver.NewCompileCache()
-	sink := newProgressSink(o.Progress)
-	slots := make([]*driver.Result, len(specs)*len(m.Classes)*len(Modes))
-	var jobs []job
-	for i, spec := range specs {
-		for j, class := range m.Classes {
-			for k, mode := range Modes {
-				slot := &slots[(i*len(m.Classes)+j)*len(Modes)+k]
-				spec, class, mode := spec, class, mode
-				jobs = append(jobs, job{
-					label: fmt.Sprintf("chaos %s/%s/%s", spec.Name, class, mode),
-					run: func() error {
-						plan, err := chaos.ClassPlan(class, chaosCellSeed(seed, spec.Name, class, mode))
-						if err != nil {
-							return err
-						}
-						cfg := o.runConfig(mode, cache)
-						cfg.Chaos = &plan
-						cfg.AuditEvery = o.chaosAuditEvery()
-						cfg.AuditOnFault = true
-						// The far class aims its faults at the far
-						// tier, so its cells must run with one: split
-						// the budget 3:1 like the tiering campaign's
-						// first split. Other classes keep the all-DRAM
-						// machine, leaving their cells untouched by
-						// the tier's existence.
-						if class == "far" {
-							dram, far := (TierRatio{3, 1}).Split(cfg.Kernel.UserMemPages)
-							cfg.Kernel.UserMemPages = dram
-							cfg.Kernel.Far.Pages = far
-						}
-						r, err := driver.Run(spec, cfg)
-						if err != nil {
-							return fmt.Errorf("chaos %s/%s/%s: %w", spec.Name, class, mode, err)
-						}
-						*slot = r
-						sink.printf("chaos %s/%s/%s: %v, %d faults, %d audits\n",
-							spec.Name, class, mode, r.Elapsed, r.Chaos.Total(), r.AuditTicks)
-						return nil
-					},
-				})
-			}
-		}
-	}
-	if err := runJobs(o, jobs); err != nil {
-		return nil, err
-	}
-	for i, spec := range specs {
-		m.Results[spec.Name] = map[string]map[rt.Mode]*driver.Result{}
-		for j, class := range m.Classes {
-			cell := map[rt.Mode]*driver.Result{}
-			for k, mode := range Modes {
-				cell[mode] = slots[(i*len(m.Classes)+j)*len(Modes)+k]
-			}
-			m.Results[spec.Name][class] = cell
-		}
+	for i, c := range cells {
+		entry(entry(m.Results, c.spec.Name), c.class)[c.mode] = res[i]
 	}
 	return m, nil
 }

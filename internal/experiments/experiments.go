@@ -154,12 +154,6 @@ func (o Opts) specs() ([]*workload.Spec, error) {
 	return out, nil
 }
 
-func (o Opts) progressf(format string, args ...interface{}) {
-	if o.Progress != nil {
-		fmt.Fprintf(o.Progress, format, args...)
-	}
-}
-
 // Versions is the shared dataset behind Figure 7, Figure 8, Table 3
 // and Figure 9: each benchmark run once to completion in all four
 // versions, with the interactive task running concurrently at the
@@ -171,50 +165,31 @@ type Versions struct {
 }
 
 // RunVersions collects the Versions dataset. The (benchmark × mode)
-// grid is enumerated up front and executed on the campaign worker
-// pool; a shared compile cache means each benchmark compiles once per
-// distinct target (O and P each, R and B together) instead of once
-// per run.
+// grid runs on the campaign worker pool; a shared compile cache means
+// each benchmark compiles once per distinct target (O and P each, R
+// and B together) instead of once per run.
 func RunVersions(o Opts) (*Versions, error) {
 	specs, err := o.specs()
 	if err != nil {
 		return nil, err
 	}
-	v := &Versions{Opts: o, Specs: specs, Results: map[string]map[rt.Mode]*driver.Result{}}
 	cache := driver.NewCompileCache()
-	sink := newProgressSink(o.Progress)
-	slots := make([]*driver.Result, len(specs)*len(Modes))
-	var jobs []job
-	for i, spec := range specs {
-		for j, mode := range Modes {
-			slot := &slots[i*len(Modes)+j]
-			spec, mode := spec, mode
-			jobs = append(jobs, job{
-				label: fmt.Sprintf("versions %s/%s", spec.Name, mode),
-				run: func() error {
-					cfg := o.runConfig(mode, cache)
-					cfg.InteractiveSleep = o.Sleep
-					r, err := driver.Run(spec, cfg)
-					if err != nil {
-						return fmt.Errorf("%s/%s: %w", spec.Name, mode, err)
-					}
-					*slot = r
-					sink.printf("versions %s/%s: %v\n", spec.Name, mode, r.Elapsed)
-					return nil
-				},
-			})
-		}
-	}
-	if err := runJobs(o, jobs); err != nil {
+	cells := grid(specs, Modes)
+	res, err := runCells(o, cells,
+		func(c cell) string { return "versions " + c.String() },
+		func(c cell) (*driver.Result, string, error) {
+			cfg := o.runConfig(c.mode, cache)
+			cfg.InteractiveSleep = o.Sleep
+			r, err := driver.Run(c.spec, cfg)
+			if err != nil {
+				return nil, "", err
+			}
+			return r, r.Elapsed.String(), nil
+		})
+	if err != nil {
 		return nil, err
 	}
-	for i, spec := range specs {
-		v.Results[spec.Name] = map[rt.Mode]*driver.Result{}
-		for j, mode := range Modes {
-			v.Results[spec.Name][mode] = slots[i*len(Modes)+j]
-		}
-	}
-	return v, nil
+	return &Versions{Opts: o, Specs: specs, Results: byBenchMode(cells, res)}, nil
 }
 
 // Interactive is the dataset behind Figures 10(b) and 10(c): each
@@ -228,61 +203,57 @@ type Interactive struct {
 	Results map[string]map[rt.Mode]*driver.Result
 }
 
+// interactiveRun runs one cell with the interactive task at sleep,
+// repeating the benchmark until horizon. The run-alone cell's result
+// carries only the interactive task's mean response.
+func (o Opts) interactiveRun(c cell, sleep, horizon sim.Time, cache *driver.CompileCache) (*driver.Result, error) {
+	if c.spec == nil {
+		r := &driver.Result{}
+		r.Interactive.MeanResponse = driver.AloneResponse(o.kernelConfig(), sleep, aloneResponseSweeps)
+		return r, nil
+	}
+	cfg := o.runConfig(c.mode, cache)
+	cfg.Repeat = true
+	cfg.Horizon = horizon
+	cfg.InteractiveSleep = sleep
+	return driver.Run(c.spec, cfg)
+}
+
 // RunInteractive collects the Interactive dataset: the run-alone
-// baseline plus the (benchmark × mode) grid, all enumerated as jobs
-// for the campaign worker pool. The progress line reports the run's
-// own mean response (not the alone-normalized ratio the serial runner
-// used to print: the baseline is a concurrent job, and a progress
-// label must never depend on another job's result).
+// baseline plus the (benchmark × mode) grid, all on the campaign
+// worker pool. The progress line reports the run's own mean response
+// (not the alone-normalized ratio: the baseline is a concurrent cell,
+// and a progress line must never depend on another cell's result).
 func RunInteractive(o Opts) (*Interactive, error) {
 	specs, err := o.specs()
 	if err != nil {
 		return nil, err
 	}
-	d := &Interactive{Opts: o, Specs: specs, Results: map[string]map[rt.Mode]*driver.Result{}}
 	cache := driver.NewCompileCache()
-	sink := newProgressSink(o.Progress)
-	slots := make([]*driver.Result, len(specs)*len(Modes))
-	jobs := []job{{
-		label: "interactive alone baseline",
-		run: func() error {
-			d.Alone = driver.AloneResponse(o.kernelConfig(), o.Sleep, aloneResponseSweeps)
-			sink.printf("interactive alone: %v\n", d.Alone)
-			return nil
+	cells := append([]cell{{}}, grid(specs, Modes)...)
+	res, err := runCells(o, cells,
+		func(c cell) string {
+			if c.spec == nil {
+				return "interactive alone"
+			}
+			return "interactive " + c.String()
 		},
-	}}
-	for i, spec := range specs {
-		for j, mode := range Modes {
-			slot := &slots[i*len(Modes)+j]
-			spec, mode := spec, mode
-			jobs = append(jobs, job{
-				label: fmt.Sprintf("interactive %s/%s", spec.Name, mode),
-				run: func() error {
-					cfg := o.runConfig(mode, cache)
-					cfg.Repeat = true
-					cfg.Horizon = o.Horizon
-					cfg.InteractiveSleep = o.Sleep
-					r, err := driver.Run(spec, cfg)
-					if err != nil {
-						return fmt.Errorf("%s/%s: %w", spec.Name, mode, err)
-					}
-					*slot = r
-					sink.printf("interactive %s/%s: %v\n", spec.Name, mode, r.Interactive.MeanResponse)
-					return nil
-				},
-			})
-		}
-	}
-	if err := runJobs(o, jobs); err != nil {
+		func(c cell) (*driver.Result, string, error) {
+			r, err := o.interactiveRun(c, o.Sleep, o.Horizon, cache)
+			if err != nil {
+				return nil, "", err
+			}
+			return r, r.Interactive.MeanResponse.String(), nil
+		})
+	if err != nil {
 		return nil, err
 	}
-	for i, spec := range specs {
-		d.Results[spec.Name] = map[rt.Mode]*driver.Result{}
-		for j, mode := range Modes {
-			d.Results[spec.Name][mode] = slots[i*len(Modes)+j]
-		}
-	}
-	return d, nil
+	return &Interactive{
+		Opts:    o,
+		Specs:   specs,
+		Alone:   res[0].Interactive.MeanResponse,
+		Results: byBenchMode(cells[1:], res[1:]),
+	}, nil
 }
 
 // Sweep is the dataset behind Figures 1 and 10(a): the interactive
@@ -296,16 +267,61 @@ type Sweep struct {
 	Response map[rt.Mode]map[sim.Time]sim.Time
 }
 
+// sweepCell is one run of the sleep sweep.
+type sweepCell struct {
+	cell
+	sleep sim.Time
+}
+
+// sweepHorizon is the sweep's per-sleep horizon: long enough for at
+// least three interactive sweeps at the longest sleeps.
+func sweepHorizon(o Opts, sleep sim.Time) sim.Time {
+	h := o.Horizon
+	if min := 3*sleep + 10*sim.Second; h < min {
+		h = min
+	}
+	return h
+}
+
 // RunSweep collects the Sweep dataset using the MATVEC kernel, as in
-// the paper. Jobs are one deduplicated alone baseline per distinct
-// sleep time plus the (sleep × mode) grid; the shared compile cache
-// means MATVEC compiles once per distinct target instead of once per
-// cell.
+// the paper. The cells are one alone baseline plus the four versions
+// per distinct sleep time; the shared compile cache means MATVEC
+// compiles once per distinct target instead of once per cell.
 func RunSweep(o Opts) (*Sweep, error) {
 	spec, err := workload.ByName("matvec")
 	if o.Scaled {
 		spec, err = workload.ScaledByName("matvec")
 	}
+	if err != nil {
+		return nil, err
+	}
+	cache := driver.NewCompileCache()
+	var cells []sweepCell
+	seen := map[sim.Time]bool{}
+	for _, sleep := range o.SleepTimes {
+		if seen[sleep] {
+			continue // deduplicated: one baseline and one run grid per distinct sleep
+		}
+		seen[sleep] = true
+		cells = append(cells, sweepCell{sleep: sleep})
+		for _, mode := range Modes {
+			cells = append(cells, sweepCell{cell{spec, mode}, sleep})
+		}
+	}
+	res, err := runCells(o, cells,
+		func(c sweepCell) string {
+			if c.spec == nil {
+				return fmt.Sprintf("sweep alone sleep=%v", c.sleep)
+			}
+			return fmt.Sprintf("sweep sleep=%v %s", c.sleep, c.mode)
+		},
+		func(c sweepCell) (sim.Time, string, error) {
+			r, err := o.interactiveRun(c.cell, c.sleep, sweepHorizon(o, c.sleep), cache)
+			if err != nil {
+				return 0, "", err
+			}
+			return r.Interactive.MeanResponse, r.Interactive.MeanResponse.String(), nil
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -315,65 +331,11 @@ func RunSweep(o Opts) (*Sweep, error) {
 		Alone:    map[sim.Time]sim.Time{},
 		Response: map[rt.Mode]map[sim.Time]sim.Time{},
 	}
-	for _, mode := range Modes {
-		s.Response[mode] = map[sim.Time]sim.Time{}
-	}
-	cache := driver.NewCompileCache()
-	sink := newProgressSink(o.Progress)
-
-	type cell struct {
-		alone    sim.Time
-		response []sim.Time // indexed like Modes
-	}
-	// Preallocated to full capacity: jobs hold pointers into the
-	// backing array, which therefore must never be reallocated.
-	cells := make([]cell, 0, len(o.SleepTimes))
-	index := map[sim.Time]int{}
-	var jobs []job
-	for _, sleep := range o.SleepTimes {
-		if _, dup := index[sleep]; dup {
-			continue // deduplicated: one baseline and one run grid per distinct sleep
-		}
-		index[sleep] = len(cells)
-		cells = append(cells, cell{response: make([]sim.Time, len(Modes))})
-		c := &cells[len(cells)-1]
-		horizon := sweepHorizon(o, sleep)
-		sleep := sleep
-		jobs = append(jobs, job{
-			label: fmt.Sprintf("sweep alone sleep=%v", sleep),
-			run: func() error {
-				c.alone = driver.AloneResponse(o.kernelConfig(), sleep, aloneResponseSweeps)
-				sink.printf("sweep alone sleep=%v: %v\n", sleep, c.alone)
-				return nil
-			},
-		})
-		for j, mode := range Modes {
-			j, mode := j, mode
-			jobs = append(jobs, job{
-				label: fmt.Sprintf("sweep sleep=%v %s", sleep, mode),
-				run: func() error {
-					cfg := o.runConfig(mode, cache)
-					cfg.Repeat = true
-					cfg.Horizon = horizon
-					cfg.InteractiveSleep = sleep
-					r, err := driver.Run(spec, cfg)
-					if err != nil {
-						return fmt.Errorf("sweep %s sleep=%v: %w", mode, sleep, err)
-					}
-					c.response[j] = r.Interactive.MeanResponse
-					sink.printf("sweep sleep=%v %s: %v\n", sleep, mode, r.Interactive.MeanResponse)
-					return nil
-				},
-			})
-		}
-	}
-	if err := runJobs(o, jobs); err != nil {
-		return nil, err
-	}
-	for sleep, i := range index {
-		s.Alone[sleep] = cells[i].alone
-		for j, mode := range Modes {
-			s.Response[mode][sleep] = cells[i].response[j]
+	for i, c := range cells {
+		if c.spec == nil {
+			s.Alone[c.sleep] = res[i]
+		} else {
+			entry(s.Response, c.mode)[c.sleep] = res[i]
 		}
 	}
 	return s, nil

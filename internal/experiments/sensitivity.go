@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"memhogs/internal/driver"
 	"memhogs/internal/metrics"
@@ -48,63 +47,63 @@ func RunSensitivity(o Opts, bench string, fractions []float64) (*Sensitivity, er
 	// probe is a sequencing point: every sweep cell needs dataPages,
 	// so only the (fraction × mode) grid behind it is parallelized.
 	cache := driver.NewCompileCache()
-	sink := newProgressSink(o.Progress)
 	probe, err := driver.Run(spec, o.runConfig(rt.ModeOriginal, cache))
 	if err != nil {
 		return nil, err
 	}
 	dataPages := probe.TotalPages
 
+	type sensCell struct {
+		cell
+		pages int
+	}
 	sweepModes := []rt.Mode{rt.ModePrefetch, rt.ModeBuffered}
-	s := &Sensitivity{Opts: o, Bench: bench, Points: make([]SensitivityPoint, len(fractions))}
-	var jobs []job
-	for i, frac := range fractions {
+	s := &Sensitivity{Opts: o, Bench: bench}
+	var cells []sensCell
+	for _, frac := range fractions {
 		pages := int(float64(dataPages) * frac)
 		if pages < 64 {
 			pages = 64
 		}
-		s.Points[i] = SensitivityPoint{
+		s.Points = append(s.Points, SensitivityPoint{
 			MemPages:  pages,
 			DataPages: dataPages,
 			Elapsed:   map[rt.Mode]sim.Time{},
 			Stolen:    map[rt.Mode]int64{},
 			Released:  map[rt.Mode]int64{},
-		}
-		pt := &s.Points[i]
-		var mu sync.Mutex // guards pt's maps across this point's two mode jobs
+		})
 		for _, mode := range sweepModes {
-			pages, mode := pages, mode
-			jobs = append(jobs, job{
-				label: fmt.Sprintf("sensitivity %s mem=%dp %s", bench, pages, mode),
-				run: func() error {
-					cfg := o.runConfig(mode, cache)
-					cfg.Kernel.UserMemPages = pages
-					// Keep the daemon thresholds proportionate.
-					cfg.Kernel.MinFreePages = pages / 64
-					if cfg.Kernel.MinFreePages < 8 {
-						cfg.Kernel.MinFreePages = 8
-					}
-					cfg.Kernel.TargetFreePages = 4 * cfg.Kernel.MinFreePages
-					cfg.Kernel.Daemon.MinFree = cfg.Kernel.MinFreePages
-					cfg.Kernel.Daemon.TargetFree = cfg.Kernel.TargetFreePages
-					cfg.Kernel.PM.MinFree = cfg.Kernel.MinFreePages
-					r, err := driver.Run(spec, cfg)
-					if err != nil {
-						return fmt.Errorf("sensitivity %s mem=%d: %w", mode, pages, err)
-					}
-					mu.Lock()
-					pt.Elapsed[mode] = r.Elapsed
-					pt.Stolen[mode] = r.Daemon.Stolen
-					pt.Released[mode] = r.Releaser.Freed
-					mu.Unlock()
-					sink.printf("sensitivity %s mem=%dp %s: %v\n", bench, pages, mode, r.Elapsed)
-					return nil
-				},
-			})
+			cells = append(cells, sensCell{cell{spec, mode}, pages})
 		}
 	}
-	if err := runJobs(o, jobs); err != nil {
+	res, err := runCells(o, cells,
+		func(c sensCell) string { return fmt.Sprintf("sensitivity %s mem=%dp %s", bench, c.pages, c.mode) },
+		func(c sensCell) (*driver.Result, string, error) {
+			cfg := o.runConfig(c.mode, cache)
+			cfg.Kernel.UserMemPages = c.pages
+			// Keep the daemon thresholds proportionate.
+			cfg.Kernel.MinFreePages = c.pages / 64
+			if cfg.Kernel.MinFreePages < 8 {
+				cfg.Kernel.MinFreePages = 8
+			}
+			cfg.Kernel.TargetFreePages = 4 * cfg.Kernel.MinFreePages
+			cfg.Kernel.Daemon.MinFree = cfg.Kernel.MinFreePages
+			cfg.Kernel.Daemon.TargetFree = cfg.Kernel.TargetFreePages
+			cfg.Kernel.PM.MinFree = cfg.Kernel.MinFreePages
+			r, err := driver.Run(c.spec, cfg)
+			if err != nil {
+				return nil, "", err
+			}
+			return r, r.Elapsed.String(), nil
+		})
+	if err != nil {
 		return nil, err
+	}
+	for i, c := range cells {
+		pt := s.Points[i/len(sweepModes)]
+		pt.Elapsed[c.mode] = res[i].Elapsed
+		pt.Stolen[c.mode] = res[i].Daemon.Stolen
+		pt.Released[c.mode] = res[i].Releaser.Freed
 	}
 	return s, nil
 }

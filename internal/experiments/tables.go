@@ -102,13 +102,3 @@ func LockTable(v *Versions) *metrics.Table {
 	t.AddNote("wait, because the releaser's short batches replace the daemon's long scans.")
 	return t
 }
-
-// sweepHorizon mirrors RunSweep's per-sleep horizon (exported for
-// tests that want to bound runtimes).
-func sweepHorizon(o Opts, sleep sim.Time) sim.Time {
-	h := o.Horizon
-	if min := 3*sleep + 10*sim.Second; h < min {
-		h = min
-	}
-	return h
-}

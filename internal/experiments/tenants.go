@@ -54,53 +54,34 @@ func (o Opts) tenantConfig(mode rt.Mode, cache *driver.CompileCache) driver.Tena
 }
 
 // RunMultiTenant collects the MultiTenant dataset. The (benchmark ×
-// mode) grid is enumerated up front and executed on the campaign
-// worker pool; results land in pre-allocated slots, so rendered output
-// is byte-identical at any -j.
+// mode) grid runs on the campaign worker pool, so rendered output is
+// byte-identical at any -j.
 func RunMultiTenant(o Opts) (*MultiTenant, error) {
 	specs, err := o.specs()
 	if err != nil {
 		return nil, err
 	}
-	m := &MultiTenant{
+	cache := driver.NewCompileCache()
+	cells := grid(specs, Modes)
+	res, err := runCells(o, cells,
+		func(c cell) string { return "tenants " + c.String() },
+		func(c cell) (*driver.TenantResult, string, error) {
+			r, err := driver.RunTenants(c.spec, o.tenantConfig(c.mode, cache))
+			if err != nil {
+				return nil, "", err
+			}
+			return r, "p99=" + r.P99.String(), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return &MultiTenant{
 		Opts:    o,
 		Specs:   specs,
 		Nodes:   tenantNodes,
 		Hogs:    tenantHogs,
-		Results: map[string]map[rt.Mode]*driver.TenantResult{},
-	}
-	cache := driver.NewCompileCache()
-	sink := newProgressSink(o.Progress)
-	slots := make([]*driver.TenantResult, len(specs)*len(Modes))
-	var jobs []job
-	for i, spec := range specs {
-		for j, mode := range Modes {
-			slot := &slots[i*len(Modes)+j]
-			spec, mode := spec, mode
-			jobs = append(jobs, job{
-				label: fmt.Sprintf("tenants %s/%s", spec.Name, mode),
-				run: func() error {
-					r, err := driver.RunTenants(spec, o.tenantConfig(mode, cache))
-					if err != nil {
-						return fmt.Errorf("tenants %s/%s: %w", spec.Name, mode, err)
-					}
-					*slot = r
-					sink.printf("tenants %s/%s: p99=%v\n", spec.Name, mode, r.P99)
-					return nil
-				},
-			})
-		}
-	}
-	if err := runJobs(o, jobs); err != nil {
-		return nil, err
-	}
-	for i, spec := range specs {
-		m.Results[spec.Name] = map[rt.Mode]*driver.TenantResult{}
-		for j, mode := range Modes {
-			m.Results[spec.Name][mode] = slots[i*len(Modes)+j]
-		}
-	}
-	return m, nil
+		Results: byBenchMode(cells, res),
+	}, nil
 }
 
 // TenantTable renders the job response-time tail per benchmark and

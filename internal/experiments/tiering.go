@@ -62,12 +62,44 @@ func (o Opts) tieringConfig(mode rt.Mode, ratio TierRatio, cache *driver.Compile
 	return cfg
 }
 
+// tierCell is one run at a DRAM:far split.
+type tierCell struct {
+	cell
+	ratio TierRatio
+}
+
+func (c tierCell) String() string { return c.cell.String() + "@" + c.ratio.String() }
+
+// tierCells enumerates specs × modes × TieringRatios, ratio-minor.
+func tierCells(specs []*workload.Spec, modes []rt.Mode) []tierCell {
+	var cells []tierCell
+	for _, c := range grid(specs, modes) {
+		for _, ratio := range TieringRatios {
+			cells = append(cells, tierCell{c, ratio})
+		}
+	}
+	return cells
+}
+
 // RunTiering collects the Tiering dataset. The (benchmark x mode x
-// ratio) grid is enumerated up front and executed on the campaign
-// worker pool; results land in pre-allocated slots, so rendered output
-// is byte-identical at any -j.
+// ratio) grid runs on the campaign worker pool, so rendered output is
+// byte-identical at any -j.
 func RunTiering(o Opts) (*Tiering, error) {
 	specs, err := o.specs()
+	if err != nil {
+		return nil, err
+	}
+	cache := driver.NewCompileCache()
+	cells := tierCells(specs, TieringModes)
+	res, err := runCells(o, cells,
+		func(c tierCell) string { return "tiering " + c.String() },
+		func(c tierCell) (*driver.Result, string, error) {
+			r, err := driver.Run(c.spec, o.tieringConfig(c.mode, c.ratio, cache))
+			if err != nil {
+				return nil, "", err
+			}
+			return r, fmt.Sprintf("elapsed=%v hard=%d far=%d", r.Elapsed, r.VM.HardFaults, r.VM.FarFaults), nil
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -77,44 +109,8 @@ func RunTiering(o Opts) (*Tiering, error) {
 		Ratios:  TieringRatios,
 		Results: map[string]map[rt.Mode]map[TierRatio]*driver.Result{},
 	}
-	cache := driver.NewCompileCache()
-	sink := newProgressSink(o.Progress)
-	stride := len(TieringModes) * len(TieringRatios)
-	slots := make([]*driver.Result, len(specs)*stride)
-	var jobs []job
-	for i, spec := range specs {
-		for j, mode := range TieringModes {
-			for k, ratio := range TieringRatios {
-				slot := &slots[i*stride+j*len(TieringRatios)+k]
-				spec, mode, ratio := spec, mode, ratio
-				jobs = append(jobs, job{
-					label: fmt.Sprintf("tiering %s/%s@%s", spec.Name, mode, ratio),
-					run: func() error {
-						cfg := o.tieringConfig(mode, ratio, cache)
-						r, err := driver.Run(spec, cfg)
-						if err != nil {
-							return fmt.Errorf("tiering %s/%s@%s: %w", spec.Name, mode, ratio, err)
-						}
-						*slot = r
-						sink.printf("tiering %s/%s@%s: elapsed=%v hard=%d far=%d\n",
-							spec.Name, mode, ratio, r.Elapsed, r.VM.HardFaults, r.VM.FarFaults)
-						return nil
-					},
-				})
-			}
-		}
-	}
-	if err := runJobs(o, jobs); err != nil {
-		return nil, err
-	}
-	for i, spec := range specs {
-		d.Results[spec.Name] = map[rt.Mode]map[TierRatio]*driver.Result{}
-		for j, mode := range TieringModes {
-			d.Results[spec.Name][mode] = map[TierRatio]*driver.Result{}
-			for k, ratio := range TieringRatios {
-				d.Results[spec.Name][mode][ratio] = slots[i*stride+j*len(TieringRatios)+k]
-			}
-		}
+	for i, c := range cells {
+		entry(entry(d.Results, c.spec.Name), c.mode)[c.ratio] = res[i]
 	}
 	return d, nil
 }

@@ -60,7 +60,7 @@ func vetCounters(r *driver.Result) []struct {
 // RunVetCrossValidation runs the verifier over every benchmark's
 // compiled schedule and each benchmark once in Buffered mode, then
 // checks that every predictive finding corresponds to a nonzero
-// simulator counter. One job per benchmark runs on the campaign
+// simulator counter. One cell per benchmark runs on the campaign
 // worker pool; the correlation rows and the Clean list are assembled
 // afterwards in benchmark order, so they are identical at any worker
 // count.
@@ -69,51 +69,45 @@ func RunVetCrossValidation(o Opts) (*VetCrossValidation, error) {
 	if err != nil {
 		return nil, err
 	}
+	type vetRun struct {
+		report hogvet.Diagnostics
+		run    *driver.Result
+	}
+	cache := driver.NewCompileCache()
+	res, err := runCells(o, grid(specs, []rt.Mode{rt.ModeBuffered}),
+		func(c cell) string { return "vet " + c.spec.Name },
+		func(c cell) (vetRun, string, error) {
+			// The verified schedule and the executed schedule are one
+			// cached compilation: the Buffered run's target.
+			cfg := o.runConfig(c.mode, cache)
+			comp, err := cache.Compile(c.spec, nil, driver.Target(cfg.Kernel, cfg.Mode))
+			if err != nil {
+				return vetRun{}, "", fmt.Errorf("compile: %w", err)
+			}
+			report := hogvet.Vet(comp)
+			r, err := driver.Run(c.spec, cfg)
+			if err != nil {
+				return vetRun{}, "", err
+			}
+			return vetRun{report, r}, report.Summary(), nil
+		})
+	if err != nil {
+		return nil, err
+	}
 	cv := &VetCrossValidation{
 		Opts:    o,
 		Reports: map[string]hogvet.Diagnostics{},
 		Runs:    map[string]*driver.Result{},
 	}
-	sink := newProgressSink(o.Progress)
-	cache := driver.NewCompileCache()
-	reports := make([]hogvet.Diagnostics, len(specs))
-	runs := make([]*driver.Result, len(specs))
-	var jobs []job
 	for i, spec := range specs {
-		i, spec := i, spec
-		jobs = append(jobs, job{
-			label: fmt.Sprintf("vet %s", spec.Name),
-			run: func() error {
-				// The verified schedule and the executed schedule are
-				// one cached compilation: the Buffered run's target.
-				cfg := o.runConfig(rt.ModeBuffered, cache)
-				comp, err := cache.Compile(spec, nil, driver.Target(cfg.Kernel, cfg.Mode))
-				if err != nil {
-					return fmt.Errorf("compile %s: %w", spec.Name, err)
-				}
-				reports[i] = hogvet.Vet(comp)
-
-				r, err := driver.Run(spec, cfg)
-				if err != nil {
-					return fmt.Errorf("%s/B: %w", spec.Name, err)
-				}
-				runs[i] = r
-				sink.printf("vet %s: %s\n", spec.Name, reports[i].Summary())
-				return nil
-			},
-		})
-	}
-	if err := runJobs(o, jobs); err != nil {
-		return nil, err
-	}
-	for i, spec := range specs {
-		cv.Reports[spec.Name] = reports[i]
-		cv.Runs[spec.Name] = runs[i]
-		if len(reports[i].AtLeast(hogvet.Warning)) == 0 {
+		report, run := res[i].report, res[i].run
+		cv.Reports[spec.Name] = report
+		cv.Runs[spec.Name] = run
+		if len(report.AtLeast(hogvet.Warning)) == 0 {
 			cv.Clean = append(cv.Clean, spec.Name)
 		}
-		for _, c := range vetCounters(runs[i]) {
-			n := len(reports[i].ByCode(c.code))
+		for _, c := range vetCounters(run) {
+			n := len(report.ByCode(c.code))
 			if n == 0 {
 				continue
 			}

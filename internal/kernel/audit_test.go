@@ -163,13 +163,13 @@ func TestAuditAccountsOfflineFrames(t *testing.T) {
 		th.Touch(0, false)
 	})
 	sys.Run(0)
-	if got := sys.Phys.Offline(32); got != 32 {
+	if got := sys.Phys.OfflineNode(-1, 32); got != 32 {
 		t.Fatalf("Offline(32) = %d", got)
 	}
 	if err := sys.Audit(); err != nil {
 		t.Fatalf("clean hot-unplugged system flagged: %v", err)
 	}
-	sys.Phys.Online(32)
+	sys.Phys.OnlineNode(-1, 32)
 	if err := sys.Audit(); err != nil {
 		t.Fatalf("clean re-plugged system flagged: %v", err)
 	}

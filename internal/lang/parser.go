@@ -1,9 +1,6 @@
 package lang
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Parse builds a Program from surface syntax:
 //
@@ -717,12 +714,4 @@ func (p *parser) parseFactor() (ExprNode, error) {
 	default:
 		return nil, p.errf("expected expression, got %s", t)
 	}
-}
-
-// ParseErrors collects human-readable context for diagnostics.
-func ParseErrors(src string, err error) string {
-	if err == nil {
-		return ""
-	}
-	return fmt.Sprintf("parse failed: %v\nsource:\n%s", err, strings.TrimSpace(src))
 }

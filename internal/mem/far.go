@@ -88,9 +88,6 @@ func NewFarTier(n, nodes int) *FarTier {
 	return t
 }
 
-// NumSlots returns the tier's capacity in pages.
-func (t *FarTier) NumSlots() int { return len(t.slots) }
-
 // Nodes returns the number of far-tier regions.
 func (t *FarTier) Nodes() int { return t.nodes }
 

@@ -236,9 +236,6 @@ func (p *Phys) Frame(id FrameID) *Frame { return &p.frames[id] }
 // Stats returns a snapshot of the counters.
 func (p *Phys) Stats() Stats { return p.stats }
 
-// ResetStats zeroes the counters.
-func (p *Phys) ResetStats() { p.stats = Stats{} }
-
 // SetHome records an owner's home node; allocations for that owner
 // prefer the home node's free list. Unset owners default to node 0.
 func (p *Phys) SetHome(ownerID, node int) {
@@ -535,19 +532,15 @@ func (p *Phys) Migrate(from, to, max int) int {
 // OfflineCount returns the number of hot-unplugged frames.
 func (p *Phys) OfflineCount() int { return len(p.offlineIDs) }
 
-// Offline hot-unplugs up to n frames, taking them from the head of
-// the richest node's free list (the oldest identities, which would be
-// reallocated next anyway). Only free frames can go offline; the
-// return value is how many actually did. Identities are destroyed, so
-// pending rescues of those pages become hard faults — exactly the
-// degradation a real memory-removal causes.
-func (p *Phys) Offline(n int) int { return p.offlineFrom(-1, n) }
-
-// OfflineNode hot-unplugs up to n free frames from node k's free list
-// (a per-node unplug leaves the other nodes untouched).
-func (p *Phys) OfflineNode(k, n int) int { return p.offlineFrom(k, n) }
-
-func (p *Phys) offlineFrom(node, n int) int {
+// OfflineNode hot-unplugs up to n free frames from the given node's
+// free list (a per-node unplug leaves the other nodes untouched); a
+// negative node takes each frame from the richest node. Frames leave from the head of the
+// free list (the oldest identities, which would be reallocated next
+// anyway). Only free frames can go offline; the return value is how
+// many actually did. Identities are destroyed, so pending rescues of
+// those pages become hard faults — exactly the degradation a real
+// memory-removal causes.
+func (p *Phys) OfflineNode(node, n int) int {
 	taken := 0
 	for taken < n {
 		k := node
@@ -585,16 +578,11 @@ func (p *Phys) offlineFrom(node, n int) int {
 	return taken
 }
 
-// Online brings up to n hot-unplugged frames back, identity-free, at
-// the tail of their origin node's free list, waking allocation
-// waiters. It returns how many came back.
-func (p *Phys) Online(n int) int { return p.onlineTo(-1, n) }
-
 // OnlineNode brings back up to n hot-unplugged frames whose origin is
-// node k (a per-node replug).
-func (p *Phys) OnlineNode(k, n int) int { return p.onlineTo(k, n) }
-
-func (p *Phys) onlineTo(node, n int) int {
+// the given node (a per-node replug); a negative node brings back any. They return
+// identity-free at the tail of their origin node's free list, waking
+// allocation waiters. It returns how many came back.
+func (p *Phys) OnlineNode(node, n int) int {
 	taken := 0
 	for taken < n && len(p.offlineIDs) > 0 {
 		idx := len(p.offlineIDs) - 1

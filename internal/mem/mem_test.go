@@ -211,7 +211,7 @@ func TestFreeListInvariant(t *testing.T) {
 func TestOfflineOnlineRoundTrip(t *testing.T) {
 	s := sim.New()
 	p := New(s, 16)
-	if got := p.Offline(4); got != 4 {
+	if got := p.OfflineNode(-1, 4); got != 4 {
 		t.Fatalf("Offline(4) = %d", got)
 	}
 	if p.FreeCount() != 12 || p.OfflineCount() != 4 {
@@ -233,7 +233,7 @@ func TestOfflineOnlineRoundTrip(t *testing.T) {
 	if offline != 4 {
 		t.Fatalf("%d frames flagged offline, want 4", offline)
 	}
-	if got := p.Online(4); got != 4 {
+	if got := p.OnlineNode(-1, 4); got != 4 {
 		t.Fatalf("Online(4) = %d", got)
 	}
 	if p.FreeCount() != 16 || p.OfflineCount() != 0 {
@@ -248,11 +248,11 @@ func TestOfflineLimitedByFreeFrames(t *testing.T) {
 	p.Alloc(nil, o, 0)
 	p.Alloc(nil, o, 1)
 	p.Alloc(nil, o, 2)
-	if got := p.Offline(10); got != 1 {
+	if got := p.OfflineNode(-1, 10); got != 1 {
 		t.Fatalf("Offline(10) with one free frame = %d, want 1", got)
 	}
 	// Bringing back more than was taken returns only what is offline.
-	if got := p.Online(10); got != 1 {
+	if got := p.OnlineNode(-1, 10); got != 1 {
 		t.Fatalf("Online(10) = %d, want 1", got)
 	}
 }
@@ -264,7 +264,7 @@ func TestOfflineDestroysIdentity(t *testing.T) {
 	f, _ := p.Alloc(nil, o, 42)
 	p.Free(f, FreedDaemon) // rescuable: identity retained on the free list
 	p.Alloc(nil, o, 1)     // consume the other frame so f is next
-	if got := p.Offline(1); got != 1 {
+	if got := p.OfflineNode(-1, 1); got != 1 {
 		t.Fatalf("Offline(1) = %d", got)
 	}
 	if !f.IsOffline() {
@@ -279,14 +279,14 @@ func TestOnlineWakesBlockedAllocator(t *testing.T) {
 	s := sim.New()
 	p := New(s, 2)
 	o := &fakeOwner{name: "o"}
-	p.Offline(2)
+	p.OfflineNode(-1, 2)
 
 	var gotAt sim.Time
 	s.Spawn("waiter", func(proc *sim.Proc) {
 		p.Alloc(proc, o, 0)
 		gotAt = proc.Now()
 	})
-	s.At(5*sim.Millisecond, func() { p.Online(1) })
+	s.At(5*sim.Millisecond, func() { p.OnlineNode(-1, 1) })
 	s.Run(0)
 	if gotAt != 5*sim.Millisecond {
 		t.Fatalf("alloc completed at %v, want 5ms (hot-plug wake)", gotAt)
@@ -301,7 +301,7 @@ func TestFreeOfflineFramePanics(t *testing.T) {
 	}()
 	s := sim.New()
 	p := New(s, 1)
-	p.Offline(1)
+	p.OfflineNode(-1, 1)
 	p.Free(p.Frame(0), FreedRelease)
 }
 
@@ -311,11 +311,11 @@ func TestOfflineKicksDaemonAtLowWater(t *testing.T) {
 	p.LowWater = 4
 	kicks := 0
 	p.NeedMemory = func(int) { kicks++ }
-	p.Offline(3) // free 5 > 4: no kick
+	p.OfflineNode(-1, 3) // free 5 > 4: no kick
 	if kicks != 0 {
 		t.Fatalf("kicked too early: %d", kicks)
 	}
-	p.Offline(1) // free 4 <= 4: kick
+	p.OfflineNode(-1, 1) // free 4 <= 4: kick
 	if kicks != 1 {
 		t.Fatalf("kicks = %d, want 1", kicks)
 	}
@@ -375,9 +375,9 @@ func TestAllocBitmapTracksFrameState(t *testing.T) {
 				held = append(held[:i], held[i+1:]...)
 			}
 		case 3:
-			p.Offline(1 + next(3))
+			p.OfflineNode(-1, 1+next(3))
 		case 4:
-			p.Online(1 + next(3))
+			p.OnlineNode(-1, 1+next(3))
 		}
 		for i := 0; i < p.NumFrames(); i++ {
 			f := p.Frame(FrameID(i))
@@ -446,9 +446,9 @@ func TestHotUnplugReplugShardedConsistency(t *testing.T) {
 			p.OnlineNode(next(nodes), 1+next(5))
 		case 5:
 			if next(2) == 0 {
-				p.Offline(1 + next(5))
+				p.OfflineNode(-1, 1+next(5))
 			} else {
-				p.Online(1 + next(5))
+				p.OnlineNode(-1, 1+next(5))
 			}
 		}
 		if err := p.ValidateFreeLists(); err != nil {

@@ -39,9 +39,9 @@ func TestClockHandNeverSkipsOrRepeats(t *testing.T) {
 		// little later, so the allocated bitmap changes under the hand.
 		switch visits % 64 {
 		case 40:
-			offlined += r.phys.Offline(2)
+			offlined += r.phys.OfflineNode(-1, 2)
 		case 0:
-			r.phys.Online(2)
+			r.phys.OnlineNode(-1, 2)
 		}
 	}
 

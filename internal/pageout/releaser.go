@@ -98,10 +98,6 @@ func (r *Releaser) Enqueue(as *vm.AS, vpns []int, prios []int) {
 	r.wake.WakeOne()
 }
 
-// QueueLen reports pending requests (for tests and back-pressure
-// diagnostics).
-func (r *Releaser) QueueLen() int { return len(r.queue) }
-
 func (r *Releaser) loop(p *sim.Proc) {
 	for {
 		for len(r.queue) == 0 {

@@ -219,30 +219,39 @@ func New(p *kernel.Process, pm *pdpm.PM, cfg Config) *Layer {
 // donate implements the reactive victim provider: hand the daemon up
 // to max buffered pages, lowest priority first.
 func (l *Layer) donate(max int) []int {
-	var out []int
-	// Gather queues by ascending priority (same order as drains).
+	out, _ := l.drain(max)
+	l.Stats.Donated += int64(len(out))
+	return out
+}
+
+// drain takes up to max buffered pages, with their reuse priorities,
+// from the lowest-priority queues first, round-robin by tag within a
+// priority level.
+func (l *Layer) drain(max int) (pages, prios []int) {
+	// Group queues by priority, ascending.
 	byPrio := map[int][]*relQueue{}
-	var prios []int
+	var levels []int
 	for _, q := range l.queues {
 		if len(q.pages) == 0 {
 			continue
 		}
 		if len(byPrio[q.prio]) == 0 {
-			prios = append(prios, q.prio)
+			levels = append(levels, q.prio)
 		}
 		byPrio[q.prio] = append(byPrio[q.prio], q)
 	}
-	sort.Ints(prios)
-	for _, prio := range prios {
+	sort.Ints(levels)
+	for _, prio := range levels {
 		qs := byPrio[prio]
 		sort.Slice(qs, func(i, j int) bool { return qs[i].tag < qs[j].tag })
-		for len(out) < max {
+		for len(pages) < max {
 			progress := false
 			for _, q := range qs {
-				if len(q.pages) == 0 || len(out) >= max {
+				if len(q.pages) == 0 || len(pages) >= max {
 					continue
 				}
-				out = append(out, q.pages[0])
+				pages = append(pages, q.pages[0])
+				prios = append(prios, q.prio)
 				copy(q.pages, q.pages[1:])
 				q.pages = q.pages[:len(q.pages)-1]
 				progress = true
@@ -251,12 +260,11 @@ func (l *Layer) donate(max int) []int {
 				break
 			}
 		}
-		if len(out) >= max {
+		if len(pages) >= max {
 			break
 		}
 	}
-	l.Stats.Donated += int64(len(out))
-	return out
+	return pages, prios
 }
 
 // Bind attaches the main application thread; must be called from the
@@ -355,6 +363,12 @@ func (l *Layer) Release(tag int, prio int, page int64) {
 	if l.chaos.Fire(chaos.ReleaseDup, l.p.Name, int(page)) {
 		l.release1(tag, prio, page)
 	}
+	l.deliverLate()
+}
+
+// deliverLate delivers the hints an injected delay held back, in
+// arrival order.
+func (l *Layer) deliverLate() {
 	for len(l.lateHints) > 0 {
 		h := l.lateHints[0]
 		l.lateHints = l.lateHints[1:]
@@ -442,49 +456,8 @@ func (l *Layer) checkPressureForced() {
 		sp := l.pm.Shared()
 		l.ev.Emit(events.RTPressureDrain, l.p.Name, "", -1, int64(sp.Current), int64(sp.Limit))
 	}
-	need := l.cfg.ReleaseBatch
-	var drained, drainedPrios []int
-
-	// Group queues by priority, ascending.
-	byPrio := map[int][]*relQueue{}
-	var prios []int
-	for _, q := range l.queues {
-		if len(q.pages) == 0 {
-			continue
-		}
-		if len(byPrio[q.prio]) == 0 {
-			prios = append(prios, q.prio)
-		}
-		byPrio[q.prio] = append(byPrio[q.prio], q)
-	}
-	sort.Ints(prios)
-	for _, prio := range prios {
-		qs := byPrio[prio]
-		sort.Slice(qs, func(i, j int) bool { return qs[i].tag < qs[j].tag })
-		// Round-robin across queues at this priority.
-		for need > 0 {
-			progress := false
-			for _, q := range qs {
-				if len(q.pages) == 0 || need == 0 {
-					continue
-				}
-				drained = append(drained, q.pages[0])
-				drainedPrios = append(drainedPrios, q.prio)
-				copy(q.pages, q.pages[1:])
-				q.pages = q.pages[:len(q.pages)-1]
-				need--
-				progress = true
-			}
-			if !progress {
-				break
-			}
-		}
-		if need == 0 {
-			break
-		}
-	}
-	if len(drained) > 0 {
-		l.issueRelease(drained, drainedPrios)
+	if pages, prios := l.drain(l.cfg.ReleaseBatch); len(pages) > 0 {
+		l.issueRelease(pages, prios)
 	}
 }
 
@@ -513,30 +486,9 @@ func (l *Layer) BufferedPages() int {
 // this because programs exit).
 func (l *Layer) Flush() {
 	// Deliver hints chaos held back so "late" stays late, not lost.
-	for len(l.lateHints) > 0 {
-		h := l.lateHints[0]
-		l.lateHints = l.lateHints[1:]
-		l.release1(h.tag, h.prio, h.page)
-	}
-	// Drain in sorted priority order: ranging over the queue map
-	// directly would bake random map order into the release batch (and
-	// so into disk-queue and event order). Found by simvet SV002.
-	var prios []int
-	for p := range l.queues {
-		prios = append(prios, p)
-	}
-	sort.Ints(prios)
-	var all, allPrios []int
-	for _, p := range prios {
-		q := l.queues[p]
-		for range q.pages {
-			allPrios = append(allPrios, q.prio)
-		}
-		all = append(all, q.pages...)
-		q.pages = q.pages[:0]
-	}
-	if len(all) > 0 {
-		l.issueRelease(all, allPrios)
+	l.deliverLate()
+	if pages, prios := l.drain(l.BufferedPages()); len(pages) > 0 {
+		l.issueRelease(pages, prios)
 	}
 }
 

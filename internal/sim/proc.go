@@ -85,11 +85,3 @@ func (p *Proc) Park() {
 func (p *Proc) Wake() {
 	p.sim.scheduleResume(p, p.sim.now)
 }
-
-// WakeAt schedules p to resume at time t.
-func (p *Proc) WakeAt(t Time) {
-	p.sim.scheduleResume(p, t)
-}
-
-// Finished reports whether the process body has returned.
-func (p *Proc) Finished() bool { return p.finished }

@@ -163,9 +163,6 @@ func (s *Sim) dispatch(p *Proc) {
 // control is inside the event loop.
 func (s *Sim) Current() *Proc { return s.current }
 
-// Idle reports whether no events remain.
-func (s *Sim) Idle() bool { return s.events.len() == 0 }
-
 // LiveProcs returns the number of spawned processes that have not yet
 // finished. Useful for detecting deadlock in tests.
 func (s *Sim) LiveProcs() int { return s.nprocs }

@@ -120,12 +120,6 @@ func (l *Lock) Release(p *Proc) {
 	next.Wake()
 }
 
-// Held reports whether any process currently owns the lock.
-func (l *Lock) Held() bool { return l.owner != nil }
-
-// HeldBy reports whether p currently owns the lock.
-func (l *Lock) HeldBy(p *Proc) bool { return l.owner == p }
-
 // Sem is a FIFO counting semaphore with wait-time accounting.
 type Sem struct {
 	name    string
