@@ -1,11 +1,15 @@
 package driver
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"memhogs/internal/compiler"
+	"memhogs/internal/kernel"
+	"memhogs/internal/leakcheck"
 	"memhogs/internal/rt"
+	"memhogs/internal/sim"
 	"memhogs/internal/workload"
 )
 
@@ -91,6 +95,52 @@ func TestRejectsConfigsEntryPointsCannotHonour(t *testing.T) {
 			t.Errorf("%s: accepted", c.name)
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestRunsLeaveNoGoroutines: every entry point closes its simulator,
+// so the processes still parked when a run ends (daemons, disk
+// servers, prefetch workers, the interactive task) exit with it.
+func TestRunsLeaveNoGoroutines(t *testing.T) {
+	spec, err := workload.ScaledByName("matvec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := workload.ScaledByName("embar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error {
+			_, err := Run(spec, TestRunConfig(rt.ModeBuffered))
+			return err
+		}},
+		{"RunPair", func() error {
+			cfg := TestRunConfig(rt.ModePrefetch)
+			cfg.Horizon = 5 * 60 * sim.Second
+			_, _, err := RunPair(spec, other, cfg)
+			return err
+		}},
+		{"RunTenants", func() error {
+			_, err := RunTenants(spec, testTenantConfig())
+			return err
+		}},
+		{"AloneResponse", func() error {
+			AloneResponse(kernel.TestConfig(), sim.Second, 5)
+			return nil
+		}},
+	}
+	for _, r := range runs {
+		before := runtime.NumGoroutine()
+		if err := r.run(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if after := leakcheck.Settle(before); after > before {
+			t.Errorf("%s: %d goroutines before, %d after", r.name, before, after)
 		}
 	}
 }

@@ -98,6 +98,7 @@ func AloneResponse(kcfg kernel.Config, sleep sim.Time, sweeps int) sim.Time {
 	if horizon < 10*sim.Second {
 		horizon = 10 * sim.Second
 	}
+	defer sys.Sim.Close()
 	sys.Run(horizon)
 	st := it.Stats()
 	if st.Sweeps == 0 {

@@ -23,6 +23,7 @@ func TestAloneResponseIsComputeBound(t *testing.T) {
 func TestInteractiveStatsDropColdSweep(t *testing.T) {
 	sys := kernel.NewSystem(kernel.TestConfig())
 	it := StartInteractive(sys, 100*sim.Millisecond)
+	defer sys.Sim.Close()
 	sys.Run(2 * sim.Second)
 	st := it.Stats()
 	if st.Sweeps < 5 {
@@ -41,6 +42,7 @@ func TestInteractiveStatsDropColdSweep(t *testing.T) {
 func TestInteractiveStatsEmptyWhenNoSweeps(t *testing.T) {
 	sys := kernel.NewSystem(kernel.TestConfig())
 	it := StartInteractive(sys, sim.Second)
+	defer sys.Sim.Close()
 	sys.Run(sim.Millisecond) // too short for even one sweep
 	st := it.Stats()
 	if st.Sweeps != 0 || st.MeanResponse != 0 {

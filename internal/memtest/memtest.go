@@ -233,6 +233,7 @@ func Run(ops []Op) (mem.FarStats, error) {
 			}
 		}
 	})
+	defer sys.Sim.Close()
 	sys.Run(0)
 	fs := sys.Far.Stats()
 	if failure != nil {

@@ -2,9 +2,12 @@ package sim
 
 import "fmt"
 
-// Proc is a simulated process: a goroutine that runs in lockstep with
-// the event loop. At most one Proc goroutine executes at any real
-// moment; all others are parked waiting on their resume channel.
+// Proc is a simulated process: a goroutine that holds control only
+// between being resumed and blocking. At most one Proc goroutine
+// executes at any real moment; all others are parked waiting on their
+// resume channel. A blocking process runs the event loop itself (see
+// yieldToLoop), so resuming itself costs no goroutine switch and
+// resuming another process costs one.
 //
 // Proc methods that advance or block (Sleep, Park, and everything
 // built on them) must only be called from within the Proc's own body.
@@ -40,24 +43,60 @@ func (s *Sim) Spawn(name string, body func(p *Proc)) *Proc {
 func (s *Sim) SpawnAt(t Time, name string, body func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
 	s.nprocs++
-	go func() {
-		<-p.resume // wait for first dispatch
-		defer func() {
-			p.finished = true
-			s.nprocs--
-			s.yield <- struct{}{}
-		}()
-		body(p)
-	}()
+	s.procs = append(s.procs, p)
+	go p.run(body)
 	s.scheduleResume(p, t)
 	return p
 }
 
-// yieldToLoop returns control to the event loop and blocks until the
-// process is next dispatched.
+// run is the process goroutine. A finishing process passes control on
+// as a blocking one does, or back to Close when Close resumed it.
+func (p *Proc) run(body func(p *Proc)) {
+	s := p.sim
+	<-p.resume // first dispatch, or Close
+	if !s.closing {
+		p.call(body)
+	}
+	p.finished = true
+	s.nprocs--
+	if s.closing {
+		s.yield <- struct{}{}
+		return
+	}
+	s.transfer(s.next())
+}
+
+// call runs body, absorbing the unwind Close starts. Any other panic
+// propagates: untouched outside Close, re-raised during it.
+func (p *Proc) call(body func(p *Proc)) {
+	defer func() {
+		if p.sim.closing {
+			if r := recover(); r != nil && r != errClosed {
+				panic(r)
+			}
+		}
+	}()
+	body(p)
+}
+
+// yieldToLoop gives up control until the process is next resumed. It
+// runs the event loop on this goroutine: when the next process to
+// resume is p itself it returns at once, otherwise it hands control
+// to that process (or back to Run when the run ends) and waits. Under
+// Close it panics with errClosed instead, both when Close resumes it
+// and when a deferred call tries to park during the unwind.
 func (p *Proc) yieldToLoop() {
-	p.sim.yield <- struct{}{}
-	<-p.resume
+	s := p.sim
+	if s.closing {
+		panic(errClosed)
+	}
+	if q := s.next(); q != p {
+		s.transfer(q)
+		<-p.resume
+		if s.closing {
+			panic(errClosed)
+		}
+	}
 }
 
 // Sleep advances virtual time by d for this process. Other events run

@@ -1,11 +1,22 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine models virtual time at nanosecond resolution and runs
-// simulated processes as goroutines that execute one at a time: the
-// event loop hands control to exactly one process goroutine and waits
-// for it to block again before dispatching the next event. Together
-// with FIFO tie-breaking on simultaneous events this makes every run
-// fully deterministic, which the experiment harness relies on.
+// simulated processes as goroutines that execute one at a time. There
+// is no dedicated event-loop goroutine: the loop runs on whichever
+// goroutine holds control. A process that blocks pops events itself,
+// running callbacks inline, until an event resumes a process. When
+// that process is itself it simply returns (no goroutine switch);
+// otherwise it hands control straight to the next process's goroutine
+// (one switch). Run's caller takes control back only when the run
+// ends. Together with FIFO tie-breaking on simultaneous events this
+// makes every run fully deterministic, which the experiment harness
+// relies on.
+//
+// Processes that never finish (daemons, disk servers) are unwound by
+// Close, which must follow the last Run for the goroutines to exit.
+// Unwinding runs the bodies' deferred calls, so no defer may touch
+// simulator state on a path that can park: it would run while the
+// process is parked, not where the code reads as if it ran.
 //
 // The rest of the system (disks, daemons, workloads) is built from
 // three primitives defined here: timed events, parkable processes, and
@@ -13,6 +24,7 @@
 package sim
 
 import (
+	"errors"
 	"strconv"
 )
 
@@ -62,12 +74,18 @@ type Sim struct {
 	now     Time
 	seq     uint64
 	events  eventQueue
-	yield   chan struct{} // process goroutine -> event loop handoff
-	current *Proc         // process currently executing, nil in event loop
+	yield   chan struct{} // hands control back to Run (or Close)
+	current *Proc         // process holding control, nil while callbacks run
+	procs   []*Proc       // every spawned process, for Close
 	nprocs  int           // live (spawned, not finished) processes
+	horizon Time          // of the Run in progress
 	stopped bool
+	closing bool  // Close is unwinding the processes
 	clamps  int64 // past-time schedules clamped to now (caller bugs)
 }
+
+// errClosed unwinds a process that Close resumes.
+var errClosed = errors.New("sim: closed")
 
 // New creates an empty simulator positioned at time zero.
 func New() *Sim {
@@ -117,50 +135,88 @@ func (s *Sim) scheduleResume(p *Proc, t Time) {
 // deadline; the standard campaigns assert it stays zero.
 func (s *Sim) ClampedSchedules() int64 { return s.clamps }
 
-// Stop makes Run return after the current event completes. Pending
-// events remain queued; Run may be called again to continue.
+// Stop makes Run return once the current event completes. Pending
+// events remain queued, and processes left mid-flight stay parked;
+// Run may be called again to continue.
 func (s *Sim) Stop() { s.stopped = true }
 
 // Run executes events until the queue drains, the horizon passes, or
 // Stop is called. A zero horizon means "run until idle". It returns
 // the virtual time at which it stopped.
-//
-//simvet:hot
 func (s *Sim) Run(horizon Time) Time {
 	s.stopped = false
-	for s.events.len() > 0 && !s.stopped {
-		at := s.events.peekAt()
-		if horizon > 0 && at > horizon {
-			s.now = horizon
-			break
-		}
-		fn, proc := s.events.pop()
-		s.now = at
-		if proc != nil {
-			s.dispatch(proc)
-		} else {
-			fn()
-		}
+	s.horizon = horizon
+	if p := s.next(); p != nil {
+		p.resume <- struct{}{}
+		<-s.yield
 	}
 	return s.now
 }
 
-// dispatch hands control to p's goroutine and blocks until it parks
-// again or finishes.
+// next is the event loop. It runs on the goroutine that holds control
+// (Run's caller, or a process that just blocked or finished): it pops
+// events and runs callbacks, with no current process, until an event
+// resumes a live process, and returns that process as current. It
+// returns nil when the run ends: the queue drained, the horizon
+// passed, or Stop was called. A resumption of a finished process is
+// skipped.
 //
 //simvet:hot
-func (s *Sim) dispatch(p *Proc) {
-	if p.finished {
-		return
-	}
-	s.current = p
-	p.resume <- struct{}{}
-	<-s.yield
+func (s *Sim) next() *Proc {
 	s.current = nil
+	for s.events.len() > 0 && !s.stopped {
+		at := s.events.peekAt()
+		if s.horizon > 0 && at > s.horizon {
+			s.now = s.horizon
+			return nil
+		}
+		fn, p := s.events.pop()
+		s.now = at
+		if p == nil {
+			fn()
+		} else if !p.finished {
+			s.current = p
+			return p
+		}
+	}
+	return nil
 }
 
-// Current returns the process whose goroutine is executing, or nil if
-// control is inside the event loop.
+// transfer hands control to q's goroutine, or back to Run when q is
+// nil. The caller must block (or exit) right after.
+func (s *Sim) transfer(q *Proc) {
+	if q == nil {
+		s.yield <- struct{}{}
+	} else {
+		q.resume <- struct{}{}
+	}
+}
+
+// Close unwinds every unfinished process so its goroutine exits: each
+// is resumed in turn, as current, and panics out of the call that
+// parked it; a process that never started skips its body. The bodies'
+// deferred calls run during the unwind, and one that parks is unwound
+// in turn, so no event runs. Close is called from outside the
+// simulation after the last Run; the Sim cannot run again.
+func (s *Sim) Close() {
+	if s.closing {
+		return
+	}
+	s.closing = true
+	// Index loop: a deferred call may spawn while unwinding.
+	for i := 0; i < len(s.procs); i++ {
+		if p := s.procs[i]; !p.finished {
+			s.current = p
+			p.resume <- struct{}{}
+			<-s.yield
+		}
+	}
+	s.current = nil
+	s.procs = nil
+}
+
+// Current returns the process that holds control, or nil while event
+// callbacks run (on whichever goroutine runs the loop).
 func (s *Sim) Current() *Proc { return s.current }
 
 // LiveProcs returns the number of spawned processes that have not yet

@@ -744,9 +744,19 @@ func (as *AS) Prefetch(x Exec, vpn int) PrefetchResult {
 	}
 
 	as.lock(x)
-	defer as.notifyActivity()
-	defer as.Memlock.Release(p)
+	r := as.prefetchLocked(x, pte, vpn)
+	as.Memlock.Release(p)
+	as.notifyActivity()
+	return r
+}
 
+// prefetchLocked is Prefetch's body, entered and left with the memlock
+// held. The paths that read or promote the page drop the lock while
+// they wait and take it again before returning. Prefetch releases it
+// straight-line rather than by defer: a worker unwound by sim.Close
+// while parked waiting to re-take the lock does not own it.
+func (as *AS) prefetchLocked(x Exec, pte *PTE, vpn int) PrefetchResult {
+	p := x.Proc()
 	if pte.Busy || pte.Present {
 		return PrefetchAlreadyIn
 	}

@@ -678,3 +678,37 @@ func TestPageInEntryPoints(t *testing.T) {
 		})
 	}
 }
+
+// TestCloseUnwindsPrefetchWaitingOnMemlock closes the sim while a
+// prefetch worker, its swap read done, waits to re-take the memlock
+// that another process holds. The worker does not own the lock at
+// that point, so unwinding it must not release it.
+func TestCloseUnwindsPrefetchWaitingOnMemlock(t *testing.T) {
+	r := newRig(8, 8)
+	x := &testExec{}
+	returned := false
+	r.s.Spawn("pf", func(p *sim.Proc) {
+		x.proc = p
+		r.as.Prefetch(x, 3)
+		returned = true
+	})
+	var holder *sim.Proc
+	r.s.Spawn("holder", func(p *sim.Proc) {
+		holder = p
+		p.Sleep(sim.Millisecond) // after the worker dropped the lock for its read
+		r.as.Memlock.Acquire(p)
+		p.Park()
+	})
+	r.s.Run(100 * sim.Millisecond)
+	if returned || r.as.Stats.PageIns != 1 || r.as.Memlock.Contended != 1 {
+		t.Fatalf("before Close: returned %v, %d page-ins, %d contended; want the worker queued on the memlock after its read",
+			returned, r.as.Stats.PageIns, r.as.Memlock.Contended)
+	}
+	r.s.Close()
+	if r.s.LiveProcs() != 0 || returned {
+		t.Fatalf("after Close: %d live, Prefetch returned %v; want 0, false", r.s.LiveProcs(), returned)
+	}
+	if r.as.Memlock.TryAcquire(holder) {
+		t.Fatal("the memlock was freed by unwinding a worker that did not own it")
+	}
+}
