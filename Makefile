@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet fmt hogvet simvet certify lint bench perfbench examples experiments tenants tiering verify golden trace chaos fuzz clean
+.PHONY: build test vet fmt hogvet simvet certify lint perfbench examples experiments tenants tiering verify golden trace chaos fuzz clean
 
 build:
 	go build ./...
@@ -51,12 +51,6 @@ lint: build fmt vet hogvet simvet certify
 
 test: build vet
 	go test ./...
-
-# The paper-figure and ablation benchmarks on the scaled machine;
-# minutes. Their custom metrics report virtual-time results, not
-# simulator speed (that is `make perfbench`).
-bench:
-	go test -run XXX -bench=. -benchmem ./...
 
 # The repository's declared benchmark (BENCHMARK.json). perfbench is a
 # module of its own, so the root `go test ./...` does not reach it:

@@ -86,7 +86,7 @@ func DefaultRunConfig(mode rt.Mode) RunConfig {
 }
 
 // TestRunConfig returns a scaled-down configuration for unit tests and
-// Go benchmarks.
+// the chaos property harness.
 func TestRunConfig(mode rt.Mode) RunConfig {
 	c := DefaultRunConfig(mode)
 	c.Kernel = kernel.TestConfig()

@@ -88,7 +88,8 @@ func Default() Opts {
 	}
 }
 
-// Quick returns a scaled-down campaign for tests and Go benchmarks.
+// Quick returns a scaled-down campaign for tests and quick campaigns
+// (`memhog -quick`).
 func Quick() Opts {
 	o := Default()
 	o.Scaled = true

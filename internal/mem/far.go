@@ -15,8 +15,7 @@ import "fmt"
 // on that — a page must never be simultaneously far-resident and
 // rescuable from the DRAM free list.
 type FarTier struct {
-	nodes      int
-	regionSize int
+	regions
 	slots      []FarSlot
 	free       [][]FarSlotID // per-node free stacks (LIFO)
 	offlineIDs []FarSlotID   // hot-unplugged slots, LIFO
@@ -61,24 +60,18 @@ func NewFarTier(n, nodes int) *FarTier {
 	if n <= 0 {
 		panic("mem: far tier must have at least one slot")
 	}
-	if nodes < 1 {
-		nodes = 1
-	}
-	if nodes > n {
-		nodes = n
-	}
+	r := newRegions(n, nodes)
 	t := &FarTier{
-		nodes:      nodes,
-		regionSize: n / nodes,
-		slots:      make([]FarSlot, n),
-		free:       make([][]FarSlotID, nodes),
+		regions: r,
+		slots:   make([]FarSlot, n),
+		free:    make([][]FarSlotID, r.nodes),
 	}
 	for i := range t.slots {
 		t.slots[i].ID = FarSlotID(i)
 	}
 	// Fill each node's stack in descending order so the first
 	// allocation takes the region's lowest slot.
-	for k := nodes - 1; k >= 0; k-- {
+	for k := r.nodes - 1; k >= 0; k-- {
 		base, limit := t.NodeRange(k)
 		for i := limit - 1; i >= base; i-- {
 			t.free[k] = append(t.free[k], FarSlotID(i))
@@ -87,9 +80,6 @@ func NewFarTier(n, nodes int) *FarTier {
 	}
 	return t
 }
-
-// Nodes returns the number of far-tier regions.
-func (t *FarTier) Nodes() int { return t.nodes }
 
 // FreeCount returns the number of free slots.
 func (t *FarTier) FreeCount() int { return t.nfree }
@@ -113,23 +103,16 @@ func (t *FarTier) Stats() FarStats {
 	return t.stats
 }
 
-// NodeOf returns the origin node of slot i.
-func (t *FarTier) NodeOf(i int) int {
-	k := i / t.regionSize
-	if k >= t.nodes {
-		k = t.nodes - 1
+// richestNode returns the node with the most free slots; ties break
+// to the lowest index. The tier must have a free slot.
+func (t *FarTier) richestNode() int {
+	best := 0
+	for k := 1; k < t.nodes; k++ {
+		if len(t.free[k]) > len(t.free[best]) {
+			best = k
+		}
 	}
-	return k
-}
-
-// NodeRange returns node k's slot region [base, limit).
-func (t *FarTier) NodeRange(k int) (base, limit int) {
-	base = k * t.regionSize
-	limit = base + t.regionSize
-	if k == t.nodes-1 {
-		limit = len(t.slots)
-	}
-	return base, limit
+	return best
 }
 
 // TryAlloc takes a free slot for a page being demoted, preferring the
@@ -148,13 +131,7 @@ func (t *FarTier) TryAlloc(home int, owner Owner, vpn int) (*FarSlot, bool) {
 	}
 	node := home
 	if len(t.free[node]) == 0 {
-		best, bestFree := -1, 0
-		for k := 0; k < t.nodes; k++ {
-			if len(t.free[k]) > bestFree {
-				best, bestFree = k, len(t.free[k])
-			}
-		}
-		node = best
+		node = t.richestNode()
 	}
 	stack := t.free[node]
 	id := stack[len(stack)-1]
@@ -196,12 +173,7 @@ func (t *FarTier) Offline(n int) int {
 	for taken < n && t.nfree > 0 {
 		// Drain the richest node first so a partial unplug stays
 		// balanced.
-		best, bestFree := -1, 0
-		for k := 0; k < t.nodes; k++ {
-			if len(t.free[k]) > bestFree {
-				best, bestFree = k, len(t.free[k])
-			}
-		}
+		best := t.richestNode()
 		stack := t.free[best]
 		id := stack[len(stack)-1]
 		t.free[best] = stack[:len(stack)-1]

@@ -13,7 +13,7 @@
 // (§3.1.2), while allocation takes from the head.
 //
 // Sharding follows an origin-based region-per-node layout: frame i
-// belongs to node i/regionSize for its whole life. A free frame may
+// belongs to node NodeOf(i) for its whole life. A free frame may
 // temporarily sit on another node's list (the balancer loans frames to
 // starved nodes), but freeing always repatriates it to its origin
 // node's tail. Allocation prefers the owner's home node and steals
@@ -116,10 +116,9 @@ type Stats struct {
 
 // Phys is the physical memory pool.
 type Phys struct {
+	regions
 	sim        *sim.Sim
 	frames     []Frame
-	nodes      int
-	regionSize int
 	head, tail []FrameID // per-node free lists: head = next to allocate
 	nfreeNode  []int     // free frames currently on each node's list
 	nfree      int       // total free frames
@@ -168,24 +167,18 @@ func NewSharded(s *sim.Sim, n, nodes int) *Phys {
 	if n <= 0 {
 		panic("mem: pool must have at least one frame")
 	}
-	if nodes < 1 {
-		nodes = 1
-	}
-	if nodes > n {
-		nodes = n
-	}
+	r := newRegions(n, nodes)
 	p := &Phys{
-		sim:        s,
-		frames:     make([]Frame, n),
-		nodes:      nodes,
-		regionSize: n / nodes,
-		head:       make([]FrameID, nodes),
-		tail:       make([]FrameID, nodes),
-		nfreeNode:  make([]int, nodes),
-		alloc:      make([]uint64, (n+63)/64),
-		waiters:    sim.NewWaitq("phys.alloc"),
+		sim:       s,
+		frames:    make([]Frame, n),
+		regions:   r,
+		head:      make([]FrameID, r.nodes),
+		tail:      make([]FrameID, r.nodes),
+		nfreeNode: make([]int, r.nodes),
+		alloc:     make([]uint64, (n+63)/64),
+		waiters:   sim.NewWaitq("phys.alloc"),
 	}
-	for k := 0; k < nodes; k++ {
+	for k := 0; k < r.nodes; k++ {
 		p.head[k] = NoFrame
 		p.tail[k] = NoFrame
 	}
@@ -202,24 +195,30 @@ func NewSharded(s *sim.Sim, n, nodes int) *Phys {
 // NumFrames returns the total number of physical frames.
 func (p *Phys) NumFrames() int { return len(p.frames) }
 
-// Nodes returns the number of memory nodes (1 = unsharded).
-func (p *Phys) Nodes() int { return p.nodes }
-
-// NodeOf returns the origin node of frame i.
-func (p *Phys) NodeOf(i int) int {
-	k := i / p.regionSize
-	if k >= p.nodes {
-		k = p.nodes - 1
-	}
-	return k
+// regions is the node geometry Phys and FarTier share: n frames or
+// slots split into nodes equal regions, the last node absorbing any
+// remainder, with nodes clamped to [1, n].
+type regions struct {
+	n, nodes, size int
 }
 
-// NodeRange returns node k's frame region [base, limit).
-func (p *Phys) NodeRange(k int) (base, limit int) {
-	base = k * p.regionSize
-	limit = base + p.regionSize
-	if k == p.nodes-1 {
-		limit = len(p.frames)
+func newRegions(n, nodes int) regions {
+	nodes = max(1, min(nodes, n))
+	return regions{n: n, nodes: nodes, size: n / nodes}
+}
+
+// Nodes returns the number of memory nodes (1 = unsharded).
+func (r regions) Nodes() int { return r.nodes }
+
+// NodeOf returns the origin node of frame or slot i.
+func (r regions) NodeOf(i int) int { return min(i/r.size, r.nodes-1) }
+
+// NodeRange returns node k's region [base, limit).
+func (r regions) NodeRange(k int) (base, limit int) {
+	base = k * r.size
+	limit = base + r.size
+	if k == r.nodes-1 {
+		limit = r.n
 	}
 	return base, limit
 }

@@ -30,7 +30,7 @@ type Config struct {
 	ReleaseCall  sim.Time // system-call CPU cost of a release request
 	// ImmediateUpdates makes the shared page update eagerly on every
 	// change instead of only on memory activity. The paper rejects
-	// this as too expensive; it is kept for the ablation bench.
+	// this as too expensive; it is kept for TestAblations.
 	ImmediateUpdates bool
 	// NotifyThreshold, when > 0, refreshes the shared page whenever
 	// system free memory has drifted by more than this many pages

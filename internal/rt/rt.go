@@ -41,7 +41,7 @@ const (
 	// daemon asks ("the OS notifies the application when one or more
 	// of its pages is about to be reclaimed", §2.2). The paper
 	// predicts it "will not help isolate other applications from a
-	// memory-intensive one"; BenchmarkReactiveVsProactive measures it.
+	// memory-intensive one"; experiments.TestAblations measures it.
 	ModeReactive
 )
 

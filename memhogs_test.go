@@ -110,8 +110,8 @@ func TestBenchmarkNames(t *testing.T) {
 }
 
 func TestExperimentIDsAllRenderQuick(t *testing.T) {
-	// Only the cheap static ones here; the full campaign runs in the
-	// Go benchmarks and the CLI.
+	// Only the cheap static ones here; the full campaign runs in
+	// internal/experiments, perfbench and the CLI.
 	c := Campaign{Quick: true, Workers: 1}
 	for _, id := range []string{"table1", "table2"} {
 		out, err := c.Experiment(id)
