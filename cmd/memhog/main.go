@@ -29,6 +29,9 @@
 //	-log      trace command: emit the merged event log instead of Chrome JSON
 //	-j N      run campaign simulations on N workers (0 = one per CPU,
 //	          1 = serial); output is byte-identical at any setting
+//	-cpuprofile FILE
+//	          write a CPU profile of the whole command to FILE
+//	          (runtime/pprof format, for go tool pprof)
 package main
 
 import (
@@ -37,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"memhogs"
@@ -88,12 +92,17 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON (run command only)")
 	asLog := flag.Bool("log", false, "trace: emit the merged event log instead of Chrome JSON")
 	workers := flag.Int("j", 0, "campaign worker pool size (0 = one per CPU, 1 = serial)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole command to `FILE`")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() < 1 {
 		usage()
-		os.Exit(2)
+		exit(2)
 	}
+	if *cpuprofile != "" {
+		startProfile(*cpuprofile)
+	}
+	defer stopProfile()
 
 	var progress io.Writer = os.Stderr
 	if *quiet {
@@ -175,7 +184,7 @@ func (a *app) cmdVet() {
 		failed = failed || rep.HasErrors()
 	}
 	if failed {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -349,7 +358,7 @@ func (a *app) cmdVerify() {
 	}
 	fmt.Print(out)
 	if !ok {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -405,5 +414,32 @@ func usage() {
 
 func fatal(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "memhog: "+format+"\n", args...)
-	os.Exit(1)
+	exit(1)
+}
+
+// stopProfile ends the -cpuprofile profile, if one is running.
+var stopProfile = func() {}
+
+// startProfile profiles the rest of the command's run into path.
+func startProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal("%v", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatal("cpuprofile: %v", err)
+	}
+	stopProfile = func() {
+		stopProfile = func() {}
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fatal("cpuprofile: %v", err)
+		}
+	}
+}
+
+// exit ends the command with code, completing the profile first.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
 }

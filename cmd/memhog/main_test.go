@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -47,5 +51,41 @@ func TestCommandNamesUnique(t *testing.T) {
 		if strings.TrimSpace(c.name) != c.name || c.name == "" {
 			t.Errorf("malformed subcommand name %q", c.name)
 		}
+	}
+}
+
+// TestCPUProfile builds memhog and runs one command with and without
+// -cpuprofile: the profile file is written and non-empty, and stdout is
+// byte-identical.
+func TestCPUProfile(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command to build memhog with")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "memhog")
+	if out, err := exec.Command(gobin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	run := func(flags ...string) []byte {
+		t.Helper()
+		args := append(flags, "-quick", "-quiet", "run", "cgm")
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Fatalf("memhog %s: %v", strings.Join(args, " "), err)
+		}
+		return out
+	}
+	prof := filepath.Join(dir, "cpu.pprof")
+	plain, profiled := run(), run("-cpuprofile", prof)
+	if !bytes.Equal(plain, profiled) {
+		t.Errorf("stdout differs with -cpuprofile:\n%s\nvs\n%s", profiled, plain)
+	}
+	fi, err := os.Stat(prof)
+	if err != nil {
+		t.Fatalf("profile not written: %v", err)
+	}
+	if fi.Size() == 0 {
+		t.Fatal("profile is empty")
 	}
 }

@@ -195,3 +195,47 @@ func TestCertificateGoldens(t *testing.T) {
 		})
 	}
 }
+
+// TestSetDataAfterCompile attaches the index generator after Compile:
+// the run must read it then, so two generators give different page
+// traffic and a program with none fails at bind.
+func TestSetDataAfterCompile(t *testing.T) {
+	const src = `
+program histogram
+param N
+array key[N] of int64
+array count[131072] of float64
+for i = 0 to N-1 {
+    count[key[i]] = count[key[i]] + 1 @ 20
+}
+`
+	opts := RunOptions{Params: map[string]int64{"N": 65536}, InteractiveSleepMS: -1}
+	run := func(gen func(int64) int64) (*Report, error) {
+		p, err := Compile(src, TestMachine(), Buffered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen != nil {
+			p.SetData("key", gen)
+		}
+		return p.Run(opts)
+	}
+	one, err := run(func(int64) int64 { return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	spread, err := run(func(i int64) int64 { return i * 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One bucket faults in key's 32 pages and one page of count;
+	// spread keys fault in all 64 pages of count.
+	faults := func(r *Report) int64 { return r.HardFaults + r.SoftFaults }
+	if faults(spread) <= faults(one) {
+		t.Errorf("spread keys took %d faults, one bucket %d: the generator was not used",
+			faults(spread), faults(one))
+	}
+	if _, err := run(nil); err == nil || !strings.Contains(err.Error(), "has no data generator") {
+		t.Errorf("run without a generator: err = %v, want a missing data generator", err)
+	}
+}

@@ -63,14 +63,21 @@ type xref struct {
 	lin  *lang.Affine  // nil for indirect
 	ind  *indirectSpec // the a[b[i]] form
 	elem int
+	// itersAhead is an indirect prefetch's look-ahead: its index
+	// subscript is read with the variable of the loop the directive is
+	// attached to that many units ahead.
+	itersAhead int64
 
-	// Slot-resolved forms, filled by finalize: clin mirrors lin, cidx
-	// mirrors ind.idxLin. stream indexes the owning loop's address
-	// streams; -1 for indirect references and for assignments outside
-	// every loop, which are evaluated where they run.
-	clin   caffine
-	cidx   caffine
-	stream int32
+	// Filled by finalize: clin mirrors lin and cidx mirrors
+	// ind.idxLin, slot-resolved; arrID and idxID are the dense IDs
+	// (positions in Prog.Arrays) of arr and ind.idxArr. stream indexes
+	// the owning loop's streams, which hold a byte position for an
+	// affine reference and an index-array element for an indirect one;
+	// -1 for assignments outside every loop, evaluated where they run.
+	clin         caffine
+	cidx         caffine
+	arrID, idxID int32
+	stream       int32
 }
 
 // accessSite is one dynamic memory access point.
@@ -101,16 +108,13 @@ type xdir struct {
 	prio int
 
 	pagesAhead int64 // software-pipelining distance for affine prefetches
-	itersAhead int64 // look-ahead iterations for indirect prefetches
 
 	gates []string // loop vars that must all be at their first iteration
 
 	xref
-	loopVar string
 
 	// Slot-resolved forms, filled by finalize.
-	loopVarSlot int32
-	gateSlots   []int32
+	gateSlots []int32
 }
 
 // stripPlan marks an innermost all-affine loop for strip-mode
@@ -127,7 +131,6 @@ func (na *nestAnalysis) placeDirectives() map[*loopNode][]*xdir {
 	out := map[*loopNode][]*xdir{}
 	tgt := na.cc.c.Target
 	attach := func(n *loopNode, d *xdir) {
-		d.loopVar = n.l.Var
 		out[n] = append(out[n], d)
 	}
 	for _, g := range na.groups {
@@ -205,11 +208,10 @@ func (na *nestAnalysis) placeDirectives() map[*loopNode][]*xdir {
 			// about any reuse" — prefetch every iteration, never
 			// release.
 			d := &xdir{
-				id:         na.cc.c.newDir(),
-				tag:        na.cc.c.newTag(),
-				kind:       dirPf,
-				itersAhead: na.iterDistance(r),
-				xref:       xref{arr: r.arr, ind: r.ind, elem: r.elem},
+				id:   na.cc.c.newDir(),
+				tag:  na.cc.c.newTag(),
+				kind: dirPf,
+				xref: xref{arr: r.arr, ind: r.ind, elem: r.elem, itersAhead: na.iterDistance(r)},
 			}
 			na.cc.c.Stats.PrefetchDirs++
 			attach(r.driving, d)

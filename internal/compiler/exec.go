@@ -30,8 +30,8 @@ type Image struct {
 	C   *Compiled
 	Env lang.Env
 
-	bases      map[*lang.Array]int64 // byte offsets
-	lens       map[*lang.Array]int64 // element counts
+	bases      []int64 // byte offsets, by array ID
+	lens       []int64 // element counts, by array ID
 	TotalPages int
 	DataBytes  int64
 	pageShift  uint
@@ -67,19 +67,19 @@ func (c *Compiled) Bind(params map[string]int64) (*Image, error) {
 	}
 	img := &Image{
 		C: c, Env: env,
-		bases:     map[*lang.Array]int64{},
-		lens:      map[*lang.Array]int64{},
+		bases:     make([]int64, len(c.Prog.Arrays)),
+		lens:      make([]int64, len(c.Prog.Arrays)),
 		pageShift: shift,
 	}
 	ps := int64(c.Target.PageSize)
 	var off int64
-	for _, a := range c.Prog.Arrays {
+	for id, a := range c.Prog.Arrays {
 		elems, err := a.NumElems(env)
 		if err != nil {
 			return nil, err
 		}
-		img.bases[a] = off
-		img.lens[a] = elems
+		img.bases[id] = off
+		img.lens[id] = elems
 		bytes := elems * int64(a.ElemSize)
 		img.DataBytes += bytes
 		off += (bytes + ps - 1) / ps * ps
@@ -105,15 +105,26 @@ func (c *Compiled) Bind(params map[string]int64) (*Image, error) {
 	return img, nil
 }
 
-// PageRange returns the [first, last] virtual pages of an array.
+// PageRange returns the [first, last] virtual pages of an array, and
+// the empty range (0, -1) for an array the program does not declare.
 func (img *Image) PageRange(a *lang.Array) (int64, int64) {
-	base := img.bases[a]
-	end := base + img.lens[a]*int64(a.ElemSize) - 1
+	id := img.C.arrayID(a)
+	if id < 0 {
+		return 0, -1
+	}
+	return img.pageRange(id, a.ElemSize)
+}
+
+// pageRange is PageRange by array ID, for elements of elem bytes.
+func (img *Image) pageRange(id int32, elem int) (int64, int64) {
+	base := img.bases[id]
+	end := base + img.lens[id]*int64(elem) - 1
 	return base >> img.pageShift, end >> img.pageShift
 }
 
-func (img *Image) byteOf(a *lang.Array, elem int64) int64 {
-	return img.bases[a] + elem*int64(a.ElemSize)
+// byteOf is the byte address of element elem of x's target array.
+func (img *Image) byteOf(x *xref, elem int64) int64 {
+	return img.bases[x.arrID] + elem*int64(x.elem)
 }
 
 // Run executes the bound program against the run-time layer.
@@ -145,8 +156,9 @@ func (img *Image) newRunner(h Hints) *runner {
 // lang.Env map held (bound[s] false = name absent), isFirst tracks the
 // first-iteration flag per loop variable for prefetch gating.
 //
-// streams is the run-wide stack of address streams, one frame per
-// active loop; frame is the first stream of the innermost one.
+// streams is the run-wide stack of address and index streams, one
+// frame per active loop; frame is the first stream of the innermost
+// one.
 type runner struct {
 	img      *Image
 	h        Hints
@@ -160,8 +172,10 @@ type runner struct {
 	frame    int
 }
 
-// stream is one affine reference followed through a loop: its byte
-// position at the current iteration and its advance per iteration.
+// stream is one reference followed through a loop: its position at the
+// current iteration and its advance per iteration. An affine
+// reference's position is a byte address; an indirect reference's is
+// the element its index subscript selects in the index array.
 type stream struct {
 	pos   int64
 	delta int64
@@ -210,11 +224,11 @@ func (r *runner) call(c *xcall) error {
 	return err
 }
 
-// loop is the one loop executor. At entry every affine reference of the
-// loop opens an address stream; each step then reads affine pages from
-// the streams and evaluates only indirect references. A strip-mode loop
-// steps from page crossing to page crossing, any other loop one
-// iteration at a time.
+// loop is the one loop executor. At entry every reference of the loop
+// opens a stream; each step then reads affine pages and indirect
+// references' index elements from the streams. A strip-mode loop steps
+// from page crossing to page crossing, any other loop one iteration at
+// a time.
 func (r *runner) loop(l *xloop) error {
 	lo, err := r.evalScalar(&l.clo)
 	if err != nil {
@@ -237,14 +251,11 @@ func (r *runner) loop(l *xloop) error {
 
 	r.vals[s], r.bound[s], r.isFirst[s] = lo, true, true
 	for _, x := range l.streams {
-		e, err := r.evalAffine(&x.clin)
+		t, err := r.open(x, s, l.step)
 		if err != nil {
 			return err
 		}
-		r.streams = append(r.streams, stream{
-			pos:   r.img.byteOf(x.arr, e),
-			delta: r.coefVal(&x.clin, s) * l.step * int64(x.elem),
-		})
+		r.streams = append(r.streams, t)
 	}
 	r.frame = base
 	strip := l.strip != nil
@@ -293,7 +304,8 @@ func (r *runner) loop(l *xloop) error {
 }
 
 // span returns how many iterations, at most rest, the current loop can
-// advance before any of its streams crosses into another page.
+// advance before any of its streams crosses into another page. Only a
+// strip-mode loop calls it, and such a loop owns byte streams only.
 //
 //simvet:hot
 func (r *runner) span(rest int64) int64 {
@@ -321,6 +333,32 @@ func (r *runner) span(rest int64) int64 {
 	return steps
 }
 
+// open starts x's stream at the first iteration of the loop over slot
+// s. Every slot x reads other than s keeps its entry value for the
+// whole loop instance, so the position advances by a constant delta.
+// An indirect reference's stream starts already shifted by its
+// look-ahead; an index subscript that cannot be evaluated opens at
+// element -1 with no advance, which has no target on every iteration,
+// as per-element evaluation would find.
+func (r *runner) open(x *xref, s int32, step int64) (stream, error) {
+	if x.ind != nil {
+		idx, err := r.evalAffine(&x.cidx)
+		if err != nil {
+			return stream{pos: -1}, nil
+		}
+		c := r.coefVal(&x.cidx, s)
+		return stream{pos: idx + c*x.itersAhead, delta: c * step}, nil
+	}
+	e, err := r.evalAffine(&x.clin)
+	if err != nil {
+		return stream{}, err
+	}
+	return stream{
+		pos:   r.img.byteOf(x, e),
+		delta: r.coefVal(&x.clin, s) * step * int64(x.elem),
+	}, nil
+}
+
 // coefVal evaluates the per-iteration coefficient of slot v in lin: the
 // sum of every term on v, each possibly scaled by a symbolic stride. An
 // unbound stride parameter contributes zero, as the map lookup used to.
@@ -344,61 +382,57 @@ func (r *runner) coefVal(lin *caffine, v int32) int64 {
 }
 
 // page returns the page x references at the current iteration: from its
-// address stream, or by evaluating an indirect reference (with a shift
-// on the loop variable slot for look-ahead) or an assignment outside
-// every loop. ok is false for an indirect reference with no target.
+// stream, or by evaluating the subscript of an assignment outside every
+// loop. ok is false for an indirect reference with no target.
 //
 //simvet:hot
-func (r *runner) page(x *xref, slot int32, shift int64) (page int64, ok bool, err error) {
-	if x.stream >= 0 {
-		return r.streams[r.frame+int(x.stream)].pos >> r.img.pageShift, true, nil
-	}
+func (r *runner) page(x *xref) (page int64, ok bool, err error) {
 	var elem int64
-	if x.ind != nil {
-		if elem, ok = r.indirectElem(x, slot, shift); !ok {
+	if x.ind == nil {
+		if x.stream >= 0 {
+			return r.streams[r.frame+int(x.stream)].pos >> r.img.pageShift, true, nil
+		}
+		if elem, err = r.evalAffine(&x.clin); err != nil {
+			return 0, false, err
+		}
+	} else {
+		idx := int64(-1) // no target
+		if x.stream >= 0 {
+			idx = r.streams[r.frame+int(x.stream)].pos
+		} else if v, err := r.evalAffine(&x.cidx); err == nil {
+			idx = v
+		}
+		if elem, ok = r.indirectElem(x, idx); !ok {
 			return 0, false, nil
 		}
-	} else if elem, err = r.evalAffine(&x.clin); err != nil {
-		return 0, false, err
 	}
-	return r.img.byteOf(x.arr, elem) >> r.img.pageShift, true, nil
+	return r.img.byteOf(x, elem) >> r.img.pageShift, true, nil
 }
 
-// indirectElem resolves an a[b[i]] target element, with a shift on the
-// loop variable slot for look-ahead.
+// indirectElem resolves the a[b[i]] target element for index element
+// idx of b. A negative idx has no target; one past b's end reads its
+// last element (a look-ahead clamped to the array). An index value
+// outside a's extent wraps into it.
 //
 //simvet:hot
-func (r *runner) indirectElem(x *xref, slot int32, shift int64) (int64, bool) {
-	var old int64
-	if shift != 0 {
-		old = r.vals[slot]
-		r.vals[slot] = old + shift
-	}
-	idx, err := r.evalAffine(&x.cidx)
-	if shift != 0 {
-		r.vals[slot] = old
-	}
-	if err != nil {
-		return 0, false
-	}
-	n := r.img.lens[x.ind.idxArr]
-	if n == 0 {
-		return 0, false
-	}
-	if idx < 0 {
+func (r *runner) indirectElem(x *xref, idx int64) (int64, bool) {
+	n := r.img.lens[x.idxID]
+	if idx < 0 || n == 0 {
 		return 0, false
 	}
 	if idx >= n {
-		idx = n - 1 // clamped look-ahead past the end
+		idx = n - 1
 	}
 	v := x.ind.idxArr.Data(idx)
-	m := r.img.lens[x.arr]
+	m := r.img.lens[x.arrID]
 	if m == 0 {
 		return 0, false
 	}
-	v %= m
-	if v < 0 {
-		v += m
+	if v < 0 || v >= m {
+		v %= m
+		if v < 0 {
+			v += m
+		}
 	}
 	return v, true
 }
@@ -408,7 +442,7 @@ func (r *runner) indirectElem(x *xref, slot int32, shift int64) (int64, bool) {
 //
 //simvet:hot
 func (r *runner) fire(d *xdir) error {
-	page, ok, err := r.page(&d.xref, d.loopVarSlot, d.itersAhead)
+	page, ok, err := r.page(&d.xref)
 	if !ok {
 		return err
 	}
@@ -426,7 +460,7 @@ func (r *runner) fire(d *xdir) error {
 //
 //simvet:hot
 func (r *runner) touch(s *accessSite) error {
-	page, ok, err := r.page(&s.xref, 0, 0)
+	page, ok, err := r.page(&s.xref)
 	if !ok {
 		return err
 	}
@@ -453,7 +487,7 @@ func (r *runner) issue(d *xdir, page int64, firstObs bool) {
 		r.h.Prefetch(d.tag, r.scratch)
 		return
 	}
-	lo, hi := r.img.PageRange(d.arr)
+	lo, hi := r.img.pageRange(d.arrID, d.elem)
 	var from, to int64
 	if firstObs {
 		from, to = page, page+d.pagesAhead

@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"memhogs/internal/lang"
@@ -153,6 +155,100 @@ for i = 0 to 2047 {
 		if p < lo || p > hi {
 			t.Fatalf("prefetch of page %d outside array [%d,%d]", p, lo, hi)
 		}
+	}
+}
+
+// pageLog records, in call order, the touches and prefetches that fall
+// in one page range, and every work charge.
+type pageLog struct {
+	lo, hi int64
+	calls  []string
+}
+
+func (h *pageLog) in(p int64) bool { return p >= h.lo && p <= h.hi }
+
+func (h *pageLog) Touch(page int64, _ bool) {
+	if h.in(page) {
+		h.calls = append(h.calls, fmt.Sprintf("T%d", page))
+	}
+}
+
+func (h *pageLog) Work(float64) { h.calls = append(h.calls, "W") }
+
+func (h *pageLog) Prefetch(_ int, pages []int64) {
+	for _, p := range pages {
+		if h.in(p) {
+			h.calls = append(h.calls, fmt.Sprintf("P%d", p))
+		}
+	}
+}
+
+func (h *pageLog) Release(int, int, int64) {}
+
+// TestIndirectNoTargetAndClamp pins the two edges of an index stream:
+// an index element below 0 has no target, and a look-ahead past the
+// index array's end reads its last element.
+func TestIndirectNoTargetAndClamp(t *testing.T) {
+	prog := lang.MustParse(`
+program edges
+array key[8] of int64
+array t[32768] of float64
+for i = 0 to 7 {
+    t[key[i-2]] = t[key[i-2]] + 1 @ 10
+}
+`)
+	// key[e] selects the first element of t's page e+2 (2048 float64
+	// elements a page); t starts on page 1, after key.
+	prog.SetData("key", func(e int64) int64 { return (e + 1) * 2048 })
+	c := MustCompile(prog, testTarget())
+	for _, s := range c.Main {
+		for _, d := range s.(*xloop).dirs {
+			if d.ind != nil && d.itersAhead < 10 {
+				t.Fatalf("look-ahead %d iterations does not pass key's end", d.itersAhead)
+			}
+		}
+	}
+	img, err := c.Bind(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := img.PageRange(prog.FindArray("t"))
+	h := &pageLog{lo: lo, hi: hi}
+	if err := img.Run(h); err != nil {
+		t.Fatal(err)
+	}
+	// The prefetch reads key[7] (page 9) from the first iteration on;
+	// the two sites find no target until i = 2, then write and read
+	// pages 2..7.
+	want := "P9 W W T2 T2 W T3 T3 W T4 T4 W T5 T5 W T6 T6 W T7 T7 W"
+	if got := strings.Join(h.calls, " "); got != want {
+		t.Fatalf("calls on t:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestPageRangeForeignArray checks that an array the program does not
+// declare, even one with a declared array's name and shape, has the
+// empty page range rather than another array's pages.
+func TestPageRangeForeignArray(t *testing.T) {
+	src := `
+program two
+array a[4096] of float64
+array b[4096] of float64
+for i = 0 to 4095 {
+    b[i] = a[i] @ 10
+}
+`
+	c := MustCompile(lang.MustParse(src), testTarget())
+	img, err := c.Bind(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := img.PageRange(c.Prog.FindArray("b")); lo != 2 || hi != 3 {
+		t.Fatalf("b spans pages [%d,%d], want [2,3]", lo, hi)
+	}
+	foreign := lang.MustParse(src).FindArray("a")
+	if lo, hi := img.PageRange(foreign); lo != 0 || hi != -1 {
+		t.Fatalf("foreign array spans pages [%d,%d], want the empty range [0,-1]", lo, hi)
 	}
 }
 

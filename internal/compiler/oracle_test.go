@@ -14,13 +14,24 @@ import (
 
 // oracle is the element-wise reference interpreter: it runs every loop
 // one iteration at a time and evaluates every subscript afresh on every
-// iteration, ignoring address streams and strip plans. It shares the
+// iteration, ignoring streams, strip plans and array IDs. It shares the
 // runner's slot vectors, scalar evaluation and hint emission, which are
 // not what it checks.
-type oracle struct{ *runner }
+type oracle struct {
+	*runner
+	lens map[*lang.Array]int64 // element counts, from the declarations
+}
 
 func runOracle(img *Image, h Hints) error {
-	return oracle{img.newRunner(h)}.stmts(img.C.Main)
+	o := oracle{img.newRunner(h), map[*lang.Array]int64{}}
+	for _, a := range img.C.Prog.Arrays {
+		n, err := a.NumElems(img.Env)
+		if err != nil {
+			return err
+		}
+		o.lens[a] = n
+	}
+	return o.stmts(img.C.Main)
 }
 
 func (o oracle) stmts(list []xstmt) error {
@@ -74,7 +85,7 @@ func (o oracle) loop(l *xloop) error {
 	for v := lo; v <= hi; v += l.step {
 		o.vals[s], o.bound[s], o.isFirst[s] = v, true, v == lo
 		for _, d := range l.dirs {
-			page, ok, err := o.evalPage(&d.xref, d.loopVarSlot, d.itersAhead)
+			page, ok, err := o.evalPage(&d.xref, s, d.itersAhead)
 			if err != nil {
 				return err
 			}
@@ -107,15 +118,23 @@ func (o oracle) assign(a *xassign) error {
 }
 
 // evalPage evaluates a reference's page from its subscript at the
-// current iteration.
+// current iteration. An indirect reference reads its index subscript
+// with the loop variable in slot shifted ahead by shift.
 func (o oracle) evalPage(x *xref, slot int32, shift int64) (int64, bool, error) {
 	var elem int64
 	if x.ind != nil {
-		e, ok := o.indirectElem(x, slot, shift)
-		if !ok {
+		old := o.vals[slot]
+		o.vals[slot] = old + shift
+		idx, err := o.evalAffine(&x.cidx)
+		o.vals[slot] = old
+		n, m := o.lens[x.ind.idxArr], o.lens[x.arr]
+		if err != nil || idx < 0 || n == 0 || m == 0 {
 			return 0, false, nil
 		}
-		elem = e
+		elem = x.ind.idxArr.Data(min(idx, n-1)) % m
+		if elem < 0 {
+			elem += m
+		}
 	} else {
 		e, err := o.evalAffine(&x.clin)
 		if err != nil {
@@ -123,7 +142,8 @@ func (o oracle) evalPage(x *xref, slot int32, shift int64) (int64, bool, error) 
 		}
 		elem = e
 	}
-	return o.img.byteOf(x.arr, elem) >> o.img.pageShift, true, nil
+	first, _ := o.img.PageRange(x.arr)
+	return (first<<o.img.pageShift + elem*int64(x.arr.ElemSize)) >> o.img.pageShift, true, nil
 }
 
 // hashHints folds the ordered call sequence into a running hash.
@@ -220,11 +240,12 @@ func TestExecutorMatchesOracleRandom(t *testing.T) {
 	near.FaultLatency = 20 * sim.Microsecond
 	r := sim.NewRand(20261017)
 	for trial := 0; trial < 40; trial++ {
-		affine, mixed := randomProgram(r, trial), randomMixedProgram(r, trial)
+		affine := randomProgram(r, trial)
+		mixed, params := randomMixedProgram(r, sim.NewRand(uint64(trial)), trial)
 		t.Run(fmt.Sprint(trial), func(t *testing.T) {
 			t.Parallel()
 			sameAsOracle(t, "affine", affine, testTarget(), nil)
-			sameAsOracle(t, "mixed", mixed, near, nil)
+			sameAsOracle(t, "mixed", mixed, near, params)
 		})
 	}
 }
@@ -232,31 +253,62 @@ func TestExecutorMatchesOracleRandom(t *testing.T) {
 // randomMixedProgram builds a two-deep nest whose inner loop, of random
 // step, reads an affine array and updates another through an index
 // array, and whose outer loop runs an affine assignment before or after
-// the inner loop.
-func randomMixedProgram(r *sim.Rand, id int) *lang.Program {
+// the inner loop. It draws that shape from r, and from w how to widen
+// it: one time in four the index subscript is the plain idx[j] and the
+// index values lie in c's extent; otherwise the subscript has either a
+// symbolic stride S on j or an outer term and a coefficient above 1 on
+// j, plus a constant that may start it below 0, and half the time the
+// index values run from -m to 2m-1 for c of m elements. idx ends at the
+// subscript's last value, so look-ahead always runs past it. It returns
+// the program and the binding of S, if it has one.
+func randomMixedProgram(r, w *sim.Rand, id int) (*lang.Program, map[string]int64) {
 	ni := int64(4 + r.Intn(28))
 	nj := int64(64 + r.Intn(4096))
 	ci, cj := int64(r.Intn(3)), int64(1+r.Intn(3))
 	n := ci*(ni-1) + cj*(nj-1) + 1
 	m := int64(1024 + r.Intn(8192))
 	outer := fmt.Sprintf("    b[%d*i] = b[%d*i] + 1 @ %d\n", 1+r.Intn(2), 1+r.Intn(2), 5+r.Intn(20))
+	step := 1 + r.Intn(3)
+	cost := 10 + r.Intn(40)
+	swap := r.Intn(2) == 0
+	seed := uint64(r.Intn(1 << 30))
+
+	sub, nidx, decl := "j", nj, ""
+	var params map[string]int64
+	data := func(i int64) int64 { return int64(sim.Hash64(seed+uint64(i)) % uint64(m)) }
+	if w.Intn(4) != 0 {
+		k := int64(w.Intn(7) - 3)
+		if w.Intn(3) == 0 {
+			// No outer term beside the symbolic stride: with one, the
+			// compiler attaches idx's affine directives to the i loop,
+			// where j is unbound, and the run fails.
+			stride := int64(1 + w.Intn(3))
+			params, decl = map[string]int64{"S": stride}, "param S\n"
+			sub, nidx = fmt.Sprintf("S*j%+d", k), stride*(nj-1)+k+1
+		} else {
+			ki, kj := int64(1+w.Intn(3)), int64(2+w.Intn(2))
+			sub, nidx = fmt.Sprintf("%d*i+%d*j%+d", ki, kj, k), ki*(ni-1)+kj*(nj-1)+k+1
+		}
+		if w.Intn(2) == 0 {
+			data = func(i int64) int64 { return int64(sim.Hash64(seed+uint64(i))%uint64(3*m)) - m }
+		}
+	}
 	inner := fmt.Sprintf(`    for j = 0 to %d step %d {
-        c[idx[j]] = c[idx[j]] + a[%d*i+%d*j] @ %d
+        c[idx[%s]] = c[idx[%s]] + a[%d*i+%d*j] @ %d
     }
-`, nj-1, 1+r.Intn(3), ci, cj, 10+r.Intn(40))
+`, nj-1, step, sub, sub, ci, cj, cost)
 	body := outer + inner
-	if r.Intn(2) == 0 {
+	if swap {
 		body = inner + outer
 	}
 	prog := lang.MustParse(fmt.Sprintf(`program mixed%d
-array a[%d] of float64
+%sarray a[%d] of float64
 array b[%d] of float64
 array c[%d] of float64
 array idx[%d] of int64
 for i = 0 to %d {
 %s}
-`, id, n, 2*ni, m, nj, ni-1, body))
-	seed := uint64(r.Intn(1 << 30))
-	prog.SetData("idx", func(i int64) int64 { return int64(sim.Hash64(seed+uint64(i)) % uint64(m)) })
-	return prog
+`, id, decl, n, 2*ni, m, nidx, ni-1, body))
+	prog.SetData("idx", data)
+	return prog, params
 }

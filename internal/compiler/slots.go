@@ -78,8 +78,8 @@ func (c *Compiled) compileAffine(a *lang.Affine) caffine {
 // finalize assigns slots across the whole program and attaches compiled
 // scalar/affine forms to every executable node. Proc bodies are walked
 // in declaration order (once each — xcall shares the compiled body), so
-// slot numbering is deterministic. It also gives every affine reference
-// inside a loop its address-stream index in that loop.
+// slot numbering is deterministic. It also gives every reference its
+// dense array IDs and, inside a loop, its stream index in that loop.
 func (c *Compiled) finalize() {
 	c.slots = map[string]int32{}
 	for _, pr := range c.Prog.Procs {
@@ -88,22 +88,50 @@ func (c *Compiled) finalize() {
 	c.compileSlotStmts(c.Main, nil)
 }
 
-// compileRef attaches the slot-resolved forms of one reference. An
-// affine reference inside a loop gets a stream in that loop, the owner;
-// an indirect one is listed for Bind's data check.
-func (c *Compiled) compileRef(x *xref, owner *xloop) {
-	x.stream = -1
-	if x.lin != nil {
-		x.clin = c.compileAffine(x.lin)
-		if owner != nil {
-			x.stream = int32(len(owner.streams))
-			owner.streams = append(owner.streams, x)
+// arrayID returns a's dense ID, its position in Prog.Arrays, or -1 if
+// the program does not declare it.
+func (c *Compiled) arrayID(a *lang.Array) int32 {
+	for i, b := range c.Prog.Arrays {
+		if b == a {
+			return int32(i)
 		}
 	}
+	return -1
+}
+
+// compileRef attaches the resolved forms of one reference. A reference
+// inside a loop, the owner, gets a stream in it; an indirect one is
+// also listed for Bind's data check. span treats every stream as a
+// byte position, so a strip-mode loop must own no indirect reference
+// (emitLoop excludes them).
+func (c *Compiled) compileRef(x *xref, owner *xloop) {
+	x.stream = -1
+	x.arrID = c.mustArrayID(x.arr)
+	if x.lin != nil {
+		x.clin = c.compileAffine(x.lin)
+	}
 	if x.ind != nil {
+		x.idxID = c.mustArrayID(x.ind.idxArr)
 		x.cidx = c.compileAffine(x.ind.idxLin)
 		c.indirect = append(c.indirect, x)
 	}
+	if owner != nil {
+		if x.ind != nil && owner.strip != nil {
+			panic("compiler: strip-mode loop over " + owner.v + " owns an indirect reference")
+		}
+		x.stream = int32(len(owner.streams))
+		owner.streams = append(owner.streams, x)
+	}
+}
+
+// mustArrayID is arrayID for an array a reference names, which the
+// parser always declares.
+func (c *Compiled) mustArrayID(a *lang.Array) int32 {
+	id := c.arrayID(a)
+	if id < 0 {
+		panic("compiler: array " + a.Name + " is not declared in program " + c.Prog.Name)
+	}
+	return id
 }
 
 // compileSlotStmts compiles list, whose assignments run directly inside
@@ -117,9 +145,6 @@ func (c *Compiled) compileSlotStmts(list []xstmt, owner *xloop) {
 			x.chi = c.compileScalar(x.hi)
 			for _, d := range x.dirs {
 				c.compileRef(&d.xref, x)
-				if d.ind != nil {
-					d.loopVarSlot = c.slotOf(d.loopVar)
-				}
 				for _, g := range d.gates {
 					d.gateSlots = append(d.gateSlots, c.slotOf(g))
 				}
