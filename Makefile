@@ -136,12 +136,14 @@ chaos: build
 	@echo "chaos: replay deterministic"
 
 # Short sessions of every fuzz target: the language front end, the
-# affine evaluator, the chaos plan codec and the flight-recorder
-# exporter; `go test -fuzz=<name> -fuzztime=0` explores indefinitely.
+# affine evaluator, the loop executor against its element-wise oracle,
+# the chaos plan codec and the flight-recorder exporter;
+# `go test -fuzz=<name> -fuzztime=0` explores indefinitely.
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=10s ./internal/lang/
 	go test -fuzz=FuzzVet -fuzztime=10s ./internal/lang/
 	go test -fuzz=FuzzAffineEval -fuzztime=10s ./internal/lang/
+	go test -fuzz=FuzzExecutorOracle -fuzztime=10s ./internal/compiler/
 	go test -fuzz=FuzzChaosPlan -fuzztime=10s ./internal/chaos/
 	go test -fuzz=FuzzExport -fuzztime=10s ./internal/events/
 

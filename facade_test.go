@@ -239,3 +239,36 @@ for i = 0 to N-1 {
 		t.Errorf("run without a generator: err = %v, want a missing data generator", err)
 	}
 }
+
+// TestSymbolicStrideBesideOuterTerm compiles a reference with a known
+// coefficient on the outer loop and a symbolic stride on the inner one.
+// Its directives must drive from the inner loop, where both variables
+// are bound: every version vets without errors and runs.
+func TestSymbolicStrideBesideOuterTerm(t *testing.T) {
+	const src = `
+program stridemix
+param S
+array a[40000] of float64
+for i = 0 to 7 {
+    for j = 0 to 4095 {
+        a[2*i+S*j] = a[2*i+S*j] + 1 @ 10
+    }
+}
+`
+	for _, v := range Versions() {
+		p, err := Compile(src, TestMachine(), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := p.Vet(); rep.HasErrors() {
+			t.Fatalf("%s: vet errors:\n%s", v, rep)
+		}
+		rep, err := p.Run(RunOptions{Params: map[string]int64{"S": 2}, InteractiveSleepMS: -1})
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		if rep.HardFaults+rep.SoftFaults == 0 {
+			t.Fatalf("%s: the sweep took no faults", v)
+		}
+	}
+}

@@ -215,23 +215,15 @@ func (na *nestAnalysis) analyzeReuse() {
 				r.temporal = append(r.temporal, n)
 			}
 		}
-		// Driving loop: innermost enclosing loop that actually
-		// advances the reference (known non-zero coefficient).
+		// Driving loop: innermost enclosing loop that advances the
+		// reference, by a known non-zero coefficient or a symbolic
+		// stride (which still advances at run time). A directive
+		// attached further out would read the inner loop's variable
+		// while it is unbound.
 		for i := len(r.path) - 1; i >= 0; i-- {
-			coef, symbolic := r.lin.CoefOf(r.path[i].l.Var)
-			if coef != 0 && !symbolic {
+			if coef, symbolic := r.lin.CoefOf(r.path[i].l.Var); coef != 0 || symbolic {
 				r.driving = r.path[i]
 				break
-			}
-		}
-		if r.driving == nil {
-			// Symbolic strides still advance at run time; the
-			// innermost symbolic-coefficient loop drives execution.
-			for i := len(r.path) - 1; i >= 0; i-- {
-				if _, symbolic := r.lin.CoefOf(r.path[i].l.Var); symbolic {
-					r.driving = r.path[i]
-					break
-				}
 			}
 		}
 		if r.driving == nil {

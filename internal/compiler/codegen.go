@@ -23,21 +23,29 @@ type xloop struct {
 	strip  *stripPlan
 
 	// Slot-resolved forms, filled by finalize. streams lists the
-	// affine references that open an address stream at loop entry:
-	// the loop's own affine directives and the affine sites of its
-	// own assignments, each holding its index here in xref.stream.
-	vSlot    int32
-	clo, chi cscalar
-	streams  []*xref
+	// references that open a stream at loop entry: the loop's own
+	// directives and the sites of its own assignments, each holding
+	// its index here in xref.stream. affine indexes the affine ones
+	// among them, the only streams span reads. A quiet loop is
+	// innermost and owns an indirect reference; quietDirs lists its
+	// indirect directives, the only ones a quiet step fires.
+	vSlot     int32
+	clo, chi  cscalar
+	streams   []*xref
+	affine    []int32
+	quiet     bool
+	quietDirs []*xdir
 }
 
 func (*xloop) isX() {}
 
 // xassign is an executable compute statement: touch its sites, then
-// account its cost.
+// account its cost. indSites, filled by finalize, lists the indirect
+// sites among sites, the only ones a quiet step touches.
 type xassign struct {
-	cost  float64
-	sites []*accessSite
+	cost     float64
+	sites    []*accessSite
+	indSites []*accessSite
 }
 
 func (*xassign) isX() {}

@@ -227,8 +227,9 @@ func (r *runner) call(c *xcall) error {
 // loop is the one loop executor. At entry every reference of the loop
 // opens a stream; each step then reads affine pages and indirect
 // references' index elements from the streams. A strip-mode loop steps
-// from page crossing to page crossing, any other loop one iteration at
-// a time.
+// from page crossing to page crossing. Any other loop steps one
+// iteration at a time, and a quiet loop runs the iterations up to its
+// next affine page crossing as quiet steps.
 func (r *runner) loop(l *xloop) error {
 	lo, err := r.evalScalar(&l.clo)
 	if err != nil {
@@ -268,28 +269,36 @@ func (r *runner) loop(l *xloop) error {
 		}
 	}
 	iters := (hi-lo)/l.step + 1
+	quietLeft := int64(0) // iterations before the next affine page crossing
 	for it, steps := int64(0), int64(1); it < iters; it += steps {
-		// A strip step touches its sites before firing the directives
-		// and charges the whole step's work at once; a single
-		// iteration fires the directives before running the body.
-		if strip {
+		switch {
+		case quietLeft > 0:
+			quietLeft--
+			err = r.quietStep(l)
+		case strip:
+			// A strip step touches its sites before firing the
+			// directives and charges the whole step's work at once.
 			for _, st := range l.body {
-				for _, site := range st.(*xassign).sites {
-					if err := r.touch(site); err != nil {
-						return err
-					}
+				if err = r.touchAll(st.(*xassign).sites); err != nil {
+					return err
 				}
 			}
-		}
-		for _, d := range l.dirs {
-			if err := r.fire(d); err != nil {
+			if err = r.fireAll(l.dirs); err != nil {
 				return err
 			}
-		}
-		if strip {
-			steps = r.span(iters - it)
+			steps = r.span(l, iters-it)
 			r.h.Work(l.strip.cost * float64(steps))
-		} else if err := r.stmts(l.body); err != nil {
+		default:
+			// A full iteration fires the directives before running
+			// the body.
+			if err = r.fireAll(l.dirs); err == nil {
+				err = r.stmts(l.body)
+			}
+			if l.quiet {
+				quietLeft = r.span(l, iters-it) - 1
+			}
+		}
+		if err != nil {
 			return err
 		}
 		for i := base; i < len(r.streams); i++ {
@@ -303,16 +312,39 @@ func (r *runner) loop(l *xloop) error {
 	return nil
 }
 
-// span returns how many iterations, at most rest, the current loop can
-// advance before any of its streams crosses into another page. Only a
-// strip-mode loop calls it, and such a loop owns byte streams only.
+// quietStep runs one iteration of a quiet loop on which every affine
+// stream stays on the page the last full iteration observed. An affine
+// observation would find its page already in dirLast or siteLast and
+// make no call, so the step fires only the indirect directives and
+// touches only the indirect sites, in their usual order, and still
+// charges every assignment's work: the ordered calls are those of a
+// full iteration.
 //
 //simvet:hot
-func (r *runner) span(rest int64) int64 {
+func (r *runner) quietStep(l *xloop) error {
+	if err := r.fireAll(l.quietDirs); err != nil {
+		return err
+	}
+	for _, st := range l.body {
+		a := st.(*xassign)
+		if err := r.touchAll(a.indSites); err != nil {
+			return err
+		}
+		r.h.Work(a.cost)
+	}
+	return nil
+}
+
+// span returns how many iterations, at most rest, the current loop l
+// can advance before any of its affine streams crosses into another
+// page.
+//
+//simvet:hot
+func (r *runner) span(l *xloop, rest int64) int64 {
 	ps := int64(r.img.C.Target.PageSize)
 	steps := rest
-	for i := r.frame; i < len(r.streams); i++ {
-		t := &r.streams[i]
+	for _, i := range l.affine {
+		t := &r.streams[r.frame+int(i)]
 		if t.delta == 0 {
 			continue
 		}
@@ -471,6 +503,30 @@ func (r *runner) touch(s *accessSite) error {
 	return nil
 }
 
+// fireAll fires dirs in order.
+//
+//simvet:hot
+func (r *runner) fireAll(dirs []*xdir) error {
+	for _, d := range dirs {
+		if err := r.fire(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// touchAll touches sites in order.
+//
+//simvet:hot
+func (r *runner) touchAll(sites []*accessSite) error {
+	for _, s := range sites {
+		if err := r.touch(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // issue performs the hint call for a directive observation.
 func (r *runner) issue(d *xdir, page int64, firstObs bool) {
 	if d.kind == dirRel {
@@ -511,10 +567,8 @@ func (r *runner) issue(d *xdir, page int64, firstObs bool) {
 }
 
 func (r *runner) assign(a *xassign) error {
-	for _, s := range a.sites {
-		if err := r.touch(s); err != nil {
-			return err
-		}
+	if err := r.touchAll(a.sites); err != nil {
+		return err
 	}
 	r.h.Work(a.cost)
 	return nil

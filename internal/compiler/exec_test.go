@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memhogs/internal/lang"
+	"memhogs/internal/sim"
 )
 
 func TestEmptyLoopRuns(t *testing.T) {
@@ -223,6 +224,46 @@ for i = 0 to 7 {
 	want := "P9 W W T2 T2 W T3 T3 W T4 T4 W T5 T5 W T6 T6 W T7 T7 W"
 	if got := strings.Join(h.calls, " "); got != want {
 		t.Fatalf("calls on t:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestQuietStepsMatchOracle runs a loop that owns an indirect reference,
+// so it steps quietly between affine page crossings. Its affine
+// references ascend (key, up), descend (down), stand still (z) and
+// advance by a symbolic stride (s); each crosses pages in the middle of
+// a loop instance, at iterations the others do not, so a quiet span
+// that overlooks any of them moves a call. The executor must make the
+// oracle's ordered calls with and without prefetches and releases.
+func TestQuietStepsMatchOracle(t *testing.T) {
+	prog := lang.MustParse(`
+program quietmix
+param S
+array up[8192] of float64
+array down[8192] of float64
+array z[64] of float64
+array s[32768] of float64
+array key[6000] of int64
+array t[65536] of float64
+for i = 0 to 3 {
+    for j = 0 to 5999 {
+        t[key[j]] = t[key[j]] + up[1000+j] + down[7000-j] + z[i] + s[S*j] @ 10
+    }
+}
+`)
+	prog.SetData("key", func(e int64) int64 { return int64(sim.Hash64(uint64(e)) % 65536) })
+	near := testTarget()
+	near.FaultLatency = 20 * sim.Microsecond
+	for _, tc := range []struct {
+		label             string
+		prefetch, release bool
+	}{{"O", false, false}, {"P", true, false}, {"R", false, true}, {"B", true, true}} {
+		tgt := near
+		tgt.Prefetch, tgt.Release = tc.prefetch, tc.release
+		inner := MustCompile(prog, tgt).Main[0].(*xloop).body[0].(*xloop)
+		if !inner.quiet || inner.strip != nil {
+			t.Fatalf("%s: inner loop quiet=%v strip=%v, want a quiet loop", tc.label, inner.quiet, inner.strip != nil)
+		}
+		sameAsOracle(t, "quietmix "+tc.label, prog, tgt, map[string]int64{"S": 3})
 	}
 }
 

@@ -250,17 +250,39 @@ func TestExecutorMatchesOracleRandom(t *testing.T) {
 	}
 }
 
+// FuzzExecutorOracle runs the random programs of
+// TestExecutorMatchesOracleRandom from fuzzed generator seeds: seed
+// draws the affine program and the mixed program's shape, widen how the
+// mixed program is widened. The corpus holds the test's 40 widening
+// seeds, each with its own shape seed.
+func FuzzExecutorOracle(f *testing.F) {
+	for trial := uint64(0); trial < 40; trial++ {
+		f.Add(20261017+trial, trial)
+	}
+	near := testTarget()
+	near.FaultLatency = 20 * sim.Microsecond
+	f.Fuzz(func(t *testing.T, seed, widen uint64) {
+		r := sim.NewRand(seed)
+		affine := randomProgram(r, 0)
+		mixed, params := randomMixedProgram(r, sim.NewRand(widen), 0)
+		sameAsOracle(t, "affine", affine, testTarget(), nil)
+		sameAsOracle(t, "mixed", mixed, near, params)
+	})
+}
+
 // randomMixedProgram builds a two-deep nest whose inner loop, of random
 // step, reads an affine array and updates another through an index
 // array, and whose outer loop runs an affine assignment before or after
 // the inner loop. It draws that shape from r, and from w how to widen
 // it: one time in four the index subscript is the plain idx[j] and the
 // index values lie in c's extent; otherwise the subscript has either a
-// symbolic stride S on j or an outer term and a coefficient above 1 on
-// j, plus a constant that may start it below 0, and half the time the
-// index values run from -m to 2m-1 for c of m elements. idx ends at the
-// subscript's last value, so look-ahead always runs past it. It returns
-// the program and the binding of S, if it has one.
+// symbolic stride S on j, half the time beside an outer term, or an
+// outer term and a coefficient above 1 on j, plus a constant that may
+// start it below 0, and half the time the index values run from -m to
+// 2m-1 for c of m elements. One time in three the affine read descends
+// through a. idx ends at the subscript's last value, so look-ahead
+// always runs past it. It returns the program and the binding of S, if
+// it has one.
 func randomMixedProgram(r, w *sim.Rand, id int) (*lang.Program, map[string]int64) {
 	ni := int64(4 + r.Intn(28))
 	nj := int64(64 + r.Intn(4096))
@@ -279,9 +301,6 @@ func randomMixedProgram(r, w *sim.Rand, id int) (*lang.Program, map[string]int64
 	if w.Intn(4) != 0 {
 		k := int64(w.Intn(7) - 3)
 		if w.Intn(3) == 0 {
-			// No outer term beside the symbolic stride: with one, the
-			// compiler attaches idx's affine directives to the i loop,
-			// where j is unbound, and the run fails.
 			stride := int64(1 + w.Intn(3))
 			params, decl = map[string]int64{"S": stride}, "param S\n"
 			sub, nidx = fmt.Sprintf("S*j%+d", k), stride*(nj-1)+k+1
@@ -293,10 +312,20 @@ func randomMixedProgram(r, w *sim.Rand, id int) (*lang.Program, map[string]int64
 			data = func(i int64) int64 { return int64(sim.Hash64(seed+uint64(i))%uint64(3*m)) - m }
 		}
 	}
+	// Drawn after every other choice of w, so those choices do not
+	// depend on these.
+	if params != nil && w.Intn(2) == 0 {
+		ki := int64(1 + w.Intn(3))
+		sub, nidx = fmt.Sprintf("%d*i+%s", ki, sub), ki*(ni-1)+nidx
+	}
+	read := fmt.Sprintf("%d*i+%d*j", ci, cj)
+	if w.Intn(3) == 0 {
+		read = fmt.Sprintf("%d-%d*i-%d*j", n-1, ci, cj)
+	}
 	inner := fmt.Sprintf(`    for j = 0 to %d step %d {
-        c[idx[%s]] = c[idx[%s]] + a[%d*i+%d*j] @ %d
+        c[idx[%s]] = c[idx[%s]] + a[%s] @ %d
     }
-`, nj-1, step, sub, sub, ci, cj, cost)
+`, nj-1, step, sub, sub, read, cost)
 	body := outer + inner
 	if swap {
 		body = inner + outer

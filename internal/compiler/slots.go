@@ -100,10 +100,9 @@ func (c *Compiled) arrayID(a *lang.Array) int32 {
 }
 
 // compileRef attaches the resolved forms of one reference. A reference
-// inside a loop, the owner, gets a stream in it; an indirect one is
-// also listed for Bind's data check. span treats every stream as a
-// byte position, so a strip-mode loop must own no indirect reference
-// (emitLoop excludes them).
+// inside a loop, the owner, gets a stream in it, listed among the
+// owner's affine streams when it is affine; an indirect one is also
+// listed for Bind's data check.
 func (c *Compiled) compileRef(x *xref, owner *xloop) {
 	x.stream = -1
 	x.arrID = c.mustArrayID(x.arr)
@@ -116,11 +115,11 @@ func (c *Compiled) compileRef(x *xref, owner *xloop) {
 		c.indirect = append(c.indirect, x)
 	}
 	if owner != nil {
-		if x.ind != nil && owner.strip != nil {
-			panic("compiler: strip-mode loop over " + owner.v + " owns an indirect reference")
-		}
 		x.stream = int32(len(owner.streams))
 		owner.streams = append(owner.streams, x)
+		if x.ind == nil {
+			owner.affine = append(owner.affine, x.stream)
+		}
 	}
 }
 
@@ -150,9 +149,24 @@ func (c *Compiled) compileSlotStmts(list []xstmt, owner *xloop) {
 				}
 			}
 			c.compileSlotStmts(x.body, x)
+			// A quiet loop is innermost and owns an indirect
+			// reference, which keeps it from a strip plan.
+			x.quiet = len(x.affine) < len(x.streams)
+			for _, st := range x.body {
+				_, isAssign := st.(*xassign)
+				x.quiet = x.quiet && isAssign
+			}
+			for _, d := range x.dirs {
+				if x.quiet && d.ind != nil {
+					x.quietDirs = append(x.quietDirs, d)
+				}
+			}
 		case *xassign:
 			for _, site := range x.sites {
 				c.compileRef(&site.xref, owner)
+				if site.ind != nil {
+					x.indSites = append(x.indSites, site)
+				}
 			}
 		case *xcall:
 			// The shared proc body was compiled by the proc walk; only
