@@ -10,21 +10,22 @@
 //	SV006 hotalloc — no heap allocation or boxing in //simvet:hot paths
 //	SV007 staleallow — no //simvet:allow directive that suppresses nothing
 //
-// Two modes:
+// Usage:
 //
-//	simvet [packages]           standalone whole-program run (default ./...)
-//	go vet -vettool=$(which simvet) ./...   unit-checker protocol
+//	simvet [packages]   (default ./...)
+//
+// simvet loads the module's non-test packages from source and runs
+// the whole suite in one process, in dependency order, so package
+// facts flow from each package to its importers in memory.
 //
 // Suppress a finding with `//simvet:allow SVnnn reason` on the line
 // or the line above; the reason is mandatory.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
-	"strings"
+	"path/filepath"
 
 	"memhogs/internal/analysis"
 	"memhogs/internal/analysis/emitpair"
@@ -49,51 +50,25 @@ var suite = []*analysis.Analyzer{
 
 func main() {
 	args := os.Args[1:]
-	// The cmd/go vet driver probes the tool's identity and flags
-	// before handing it compilation units. The version line must match
-	// what toolID expects: with a "devel" version the last field has
-	// to be a buildID, which doubles as the vet cache key — hash the
-	// executable so rebuilding simvet invalidates cached results.
-	if len(args) == 1 && args[0] == "-V=full" {
-		fmt.Printf("simvet version devel buildID=%s\n", selfID())
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		unitCheck(args[0])
-		return
-	}
 	if len(args) > 0 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
 		usage()
 		return
 	}
-	standalone(args)
-}
-
-// selfID hashes the running executable; any rebuild changes it.
-func selfID() string {
-	exe, err := os.Executable()
+	diags, err := run(".", args)
 	if err != nil {
-		return "unknown"
+		fmt.Fprintf(os.Stderr, "simvet: %v\n", err)
+		os.Exit(1)
 	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
 	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
+	if len(diags) > 0 {
+		os.Exit(2)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }
 
 func usage() {
 	fmt.Println("usage: simvet [packages]   (default ./...)")
-	fmt.Println("       go vet -vettool=$(command -v simvet) [packages]")
 	fmt.Println()
 	fmt.Println("passes:")
 	for _, a := range suite {
@@ -103,29 +78,25 @@ func usage() {
 	fmt.Println("suppress one finding with `//simvet:allow SVnnn reason` on the line or the line above")
 }
 
-// standalone loads the module's packages from source and runs the
-// whole suite in one process, which also enables the whole-program
-// registry checks without any vetx plumbing.
-func standalone(patterns []string) {
+// run loads the packages matched by patterns in the module at dir
+// and runs the whole suite over them, returning the surviving
+// diagnostics with paths relative to dir.
+func run(dir string, patterns []string) ([]analysis.RenderedDiag, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	loader, pkgs, _, err := analysis.LoadModule(".", patterns...)
+	loader, pkgs, err := analysis.LoadModule(dir, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simvet: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	diags, err := analysis.RunAnalyzers(suite, pkgs, loader.Fset, analysis.NewFactStore(), nil)
+	diags, err := analysis.RunAnalyzers(suite, pkgs, loader.Fset, analysis.NewFactStore())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simvet: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	cwd, _ := os.Getwd()
-	analysis.Relativize(cwd, diags)
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
 	}
-	if len(diags) > 0 {
-		os.Exit(2)
-	}
+	analysis.Relativize(abs, diags)
+	return diags, nil
 }

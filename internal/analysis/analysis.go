@@ -25,9 +25,9 @@
 // dependency-free on purpose (the simulator itself uses nothing but
 // the standard library), so this package mirrors the x/tools API
 // shape closely enough that the analyzers could be ported to the real
-// framework by changing imports, while the driver (cmd/simvet)
-// implements both a standalone whole-program mode and the `go vet
-// -vettool` unit-checker protocol.
+// framework by changing imports. The driver (cmd/simvet) loads the
+// module from source and runs every pass over every package in one
+// process, so package facts never leave memory.
 package analysis
 
 import (
@@ -52,15 +52,12 @@ type Analyzer struct {
 	Doc string
 	// Run executes the pass over one package.
 	Run func(*Pass) error
-	// FactTypes lists the package-fact prototypes the pass exports or
-	// imports; the drivers register them for (de)serialization.
-	FactTypes []Fact
 }
 
-// Fact is a package-level fact: a gob-encodable pointer type that one
-// pass attaches to a package and downstream passes (analyzing
-// importers of that package) can retrieve. Facts are how emitpair
-// checks whole-registry properties package by package.
+// Fact is a package-level fact: a pointer type that one pass attaches
+// to a package and downstream passes (analyzing importers of that
+// package) can retrieve. Facts are how emitpair checks whole-registry
+// properties package by package.
 type Fact interface {
 	// AFact is a marker method (same convention as x/tools).
 	AFact()
@@ -88,11 +85,6 @@ type Pass struct {
 	facts *FactStore
 }
 
-// NewPass assembles a Pass; drivers use it, analyzers never do.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts *FactStore, report func(Diagnostic)) *Pass {
-	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, facts: facts, report: report}
-}
-
 // Reportf records a diagnostic at pos under the analyzer's code.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.report(Diagnostic{Pos: pos, Code: p.Analyzer.Code, Message: fmt.Sprintf(format, args...)})
@@ -103,22 +95,10 @@ func (p *Pass) ExportPackageFact(fact Fact) {
 	p.facts.Set(p.Pkg.Path(), fact)
 }
 
-// ImportPackageFact copies the fact of fact's concrete type previously
-// exported for pkg into *fact, reporting whether one existed.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	return p.facts.Get(pkg.Path(), fact)
-}
-
-// ImportPathFact is ImportPackageFact keyed by import path directly;
-// the emitpair whole-registry check walks transitive imports by path.
-func (p *Pass) ImportPathFact(path string, fact Fact) bool {
-	return p.facts.Get(path, fact)
-}
-
-// AllFacts returns every package fact accumulated so far in this run
-// (in vet-tool mode: the unit's own facts plus everything carried in
-// by its imports' .vetx files). Whole-program checks on the facade
-// package union over these.
+// AllFacts returns every package fact exported so far in this run.
+// Packages run in dependency order, so this includes the facts of all
+// the current package's transitive imports. Whole-program checks on
+// the facade package union over these.
 func (p *Pass) AllFacts() []PackageFact {
 	return p.facts.All()
 }
@@ -145,21 +125,9 @@ func (s *FactStore) Set(path string, fact Fact) {
 	s.m[factKey{path, reflect.TypeOf(fact)}] = fact
 }
 
-// Get copies the stored fact of out's concrete type for path into
-// *out, reporting whether one existed. out must be a non-nil pointer,
-// like the x/tools fact API.
-func (s *FactStore) Get(path string, out Fact) bool {
-	got, ok := s.m[factKey{path, reflect.TypeOf(out)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(out).Elem().Set(reflect.ValueOf(got).Elem())
-	return true
-}
-
 // All returns every stored fact as (path, fact) pairs, sorted by
-// package path then fact type so .vetx serialization and any
-// diagnostics derived from the iteration stay deterministic.
+// package path then fact type so diagnostics derived from the
+// iteration stay deterministic.
 func (s *FactStore) All() []PackageFact {
 	var out []PackageFact
 	for k, f := range s.m {

@@ -62,7 +62,7 @@ func RunAll(t *testing.T, testdataDir string, analyzers []*analysis.Analyzer, pk
 		}
 		pkgs = append(pkgs, lp)
 	}
-	diags, err := analysis.RunAnalyzers(analyzers, pkgs, l.Fset, analysis.NewFactStore(), nil)
+	diags, err := analysis.RunAnalyzers(analyzers, pkgs, l.Fset, analysis.NewFactStore())
 	if err != nil {
 		t.Fatalf("run analyzers: %v", err)
 	}

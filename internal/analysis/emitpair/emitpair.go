@@ -39,10 +39,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "every chaos injection site must be co-located with an events.Emit of the " +
 		"matching kind, and every declared events.Kind must be emitted somewhere",
 	Run: run,
-	FactTypes: []analysis.Fact{
-		(*EmittedKinds)(nil), (*FiredSites)(nil),
-		(*DeclaredKinds)(nil), (*DeclaredSites)(nil),
-	},
 }
 
 // EmittedKinds is the package fact listing every events.Kind constant
@@ -60,8 +56,8 @@ type FiredSites struct{ Sites []string }
 func (*FiredSites) AFact() {}
 
 // KindDecl records one declared events.Kind constant with its
-// pre-rendered declaration position (positions cannot cross
-// compilation units in vet-tool mode, so they travel as strings).
+// declaration position rendered as file:line, the form the facade's
+// dead-registry diagnostics quote.
 type KindDecl struct{ Name, Pos string }
 
 // DeclaredKinds is exported by the events package itself.

@@ -24,7 +24,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"memhogs/internal/analysis"
 )
@@ -44,25 +43,13 @@ func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasMarker(fd.Doc) {
+			if !ok || fd.Body == nil || !analysis.HasMarker(fd.Doc, marker) {
 				continue
 			}
 			checkBody(pass, funcName(fd), fd.Body)
 		}
 	}
 	return nil
-}
-
-func hasMarker(cg *ast.CommentGroup) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		if strings.HasPrefix(c.Text, marker) {
-			return true
-		}
-	}
-	return false
 }
 
 // funcName renders the declaration for diagnostics, e.g. "Emit" or

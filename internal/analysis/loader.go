@@ -36,7 +36,7 @@ type Loader struct {
 	// from; packages absent from the map are imported via Exports.
 	SrcFiles map[string][]string
 	// Exports maps an import path to a gc export-data file
-	// (produced by `go list -export` or read from a vet .cfg).
+	// (produced by `go list -export`).
 	Exports map[string]string
 
 	loaded map[string]*LoadedPackage
@@ -171,29 +171,23 @@ func GoList(dir string, patterns ...string) ([]listPackage, error) {
 // LoadModule loads every package matched by patterns that belongs to
 // the main module rooted at dir, type-checking them from source in
 // dependency order; all other packages resolve from export data. It
-// returns the module packages in dependency order plus the module
-// path itself.
-func LoadModule(dir string, patterns ...string) (*Loader, []*LoadedPackage, string, error) {
+// returns the module packages in dependency order.
+func LoadModule(dir string, patterns ...string) (*Loader, []*LoadedPackage, error) {
 	pkgs, err := GoList(dir, patterns...)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, err
 	}
-	// The main module's path: go list reports Module for non-standard
-	// packages; the module being analyzed is the one whose packages
-	// have source directories under dir.
-	modPath := ""
+	// The module being analyzed is the one whose packages have source
+	// directories under dir.
 	absDir, _ := filepath.Abs(dir)
 	l := NewLoader()
 	var order []string
 	for _, p := range pkgs {
 		if p.Error != nil {
-			return nil, nil, "", fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
+			return nil, nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		inModule := !p.Standard && p.Module != nil && p.Dir != "" && underDir(p.Dir, absDir)
 		if inModule {
-			if modPath == "" {
-				modPath = p.Module.Path
-			}
 			var files []string
 			for _, f := range p.GoFiles {
 				files = append(files, filepath.Join(p.Dir, f))
@@ -208,11 +202,11 @@ func LoadModule(dir string, patterns ...string) (*Loader, []*LoadedPackage, stri
 	for _, path := range order {
 		lp, err := l.Load(path)
 		if err != nil {
-			return nil, nil, "", err
+			return nil, nil, err
 		}
 		loaded = append(loaded, lp)
 	}
-	return l, loaded, modPath, nil
+	return l, loaded, nil
 }
 
 func underDir(path, root string) bool {

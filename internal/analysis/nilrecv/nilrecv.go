@@ -15,7 +15,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"memhogs/internal/analysis"
 )
@@ -76,7 +75,7 @@ func markedTypes(pass *analysis.Pass) map[*types.TypeName]bool {
 				if !ok {
 					continue
 				}
-				if hasMarker(gd.Doc) || hasMarker(ts.Doc) || hasMarker(ts.Comment) {
+				if analysis.HasMarker(gd.Doc, marker) || analysis.HasMarker(ts.Doc, marker) || analysis.HasMarker(ts.Comment, marker) {
 					if tn, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName); ok {
 						marked[tn] = true
 					}
@@ -85,18 +84,6 @@ func markedTypes(pass *analysis.Pass) map[*types.TypeName]bool {
 		}
 	}
 	return marked
-}
-
-func hasMarker(cg *ast.CommentGroup) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		if strings.HasPrefix(c.Text, marker) {
-			return true
-		}
-	}
-	return false
 }
 
 func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, named *types.Named) {

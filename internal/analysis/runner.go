@@ -131,10 +131,8 @@ func collectAllows(fset *token.FileSet, f *ast.File, into allowSet) {
 // RunAnalyzers executes each analyzer over each loaded package (in
 // the given order, which must be dependency order so package facts
 // flow upward), applies //simvet:allow suppression, and returns the
-// surviving diagnostics sorted by position. testFile, when non-nil,
-// marks files whose diagnostics should be dropped (used by the
-// vet-tool driver, whose compilation units include _test.go files).
-func RunAnalyzers(analyzers []*Analyzer, pkgs []*LoadedPackage, fset *token.FileSet, facts *FactStore, testFile func(string) bool) ([]RenderedDiag, error) {
+// surviving diagnostics sorted by position.
+func RunAnalyzers(analyzers []*Analyzer, pkgs []*LoadedPackage, fset *token.FileSet, facts *FactStore) ([]RenderedDiag, error) {
 	allows := allowSet{}
 	for _, lp := range pkgs {
 		for _, f := range lp.Files {
@@ -154,7 +152,7 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*LoadedPackage, fset *token.File
 					Message: d.Message,
 				})
 			}
-			pass := NewPass(a, fset, lp.Files, lp.Pkg, lp.Info, facts, report)
+			pass := &Pass{Analyzer: a, Fset: fset, Files: lp.Files, Pkg: lp.Pkg, TypesInfo: lp.Info, facts: facts, report: report}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %v", a.Name, lp.Path, err)
 			}
@@ -162,13 +160,9 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*LoadedPackage, fset *token.File
 	}
 	var kept []RenderedDiag
 	for _, d := range diags {
-		if allows.allows(d) {
-			continue
+		if !allows.allows(d) {
+			kept = append(kept, d)
 		}
-		if testFile != nil && testFile(d.File) {
-			continue
-		}
-		kept = append(kept, d)
 	}
 	// With staleallow in the suite, sweep for directives that
 	// suppressed nothing. The sweep runs after every pass's output has
@@ -185,13 +179,9 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*LoadedPackage, fset *token.File
 	}
 	if staleOn {
 		for _, d := range allows.stale(codes) {
-			if allows.allows(d) {
-				continue
+			if !allows.allows(d) {
+				kept = append(kept, d)
 			}
-			if testFile != nil && testFile(d.File) {
-				continue
-			}
-			kept = append(kept, d)
 		}
 	}
 	sort.Slice(kept, func(i, j int) bool {

@@ -37,7 +37,7 @@ func TestStaleSweepGating(t *testing.T) {
 	sv007 := &Analyzer{Name: "staleallow", Code: "SV007", Run: noop}
 
 	fset, pkgs := runnerFixture(t, staleSrc)
-	diags, err := RunAnalyzers([]*Analyzer{sv901}, pkgs, fset, NewFactStore(), nil)
+	diags, err := RunAnalyzers([]*Analyzer{sv901}, pkgs, fset, NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestStaleSweepGating(t *testing.T) {
 	}
 
 	fset, pkgs = runnerFixture(t, staleSrc)
-	diags, err = RunAnalyzers([]*Analyzer{sv901, sv007}, pkgs, fset, NewFactStore(), nil)
+	diags, err = RunAnalyzers([]*Analyzer{sv901, sv007}, pkgs, fset, NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestStaleSweepGating(t *testing.T) {
 	// A directive naming a pass outside the run is unjudged: with only
 	// staleallow executing, SV901's fate is unknown.
 	fset, pkgs = runnerFixture(t, staleSrc)
-	diags, err = RunAnalyzers([]*Analyzer{sv007}, pkgs, fset, NewFactStore(), nil)
+	diags, err = RunAnalyzers([]*Analyzer{sv007}, pkgs, fset, NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestStaleSweepSpared(t *testing.T) {
 	sv007 := &Analyzer{Name: "staleallow", Code: "SV007", Run: func(*Pass) error { return nil }}
 
 	fset, pkgs := runnerFixture(t, staleSrc)
-	diags, err := RunAnalyzers([]*Analyzer{firing, sv007}, pkgs, fset, NewFactStore(), nil)
+	diags, err := RunAnalyzers([]*Analyzer{firing, sv007}, pkgs, fset, NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func f() int {
 }
 `)
 	quiet := &Analyzer{Name: "quiet", Code: "SV901", Run: func(*Pass) error { return nil }}
-	diags, err = RunAnalyzers([]*Analyzer{quiet, sv007}, pkgs, fset, NewFactStore(), nil)
+	diags, err = RunAnalyzers([]*Analyzer{quiet, sv007}, pkgs, fset, NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}

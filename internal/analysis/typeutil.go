@@ -27,6 +27,20 @@ func MatchesScope(pkgPath string, names map[string]bool) bool {
 	return pkgPath == tail || strings.HasSuffix(pkgPath, "internal/"+tail)
 }
 
+// HasMarker reports whether any comment in cg starts with marker, a
+// directive such as "//simvet:hot". A nil group has no marker.
+func HasMarker(cg *ast.CommentGroup, marker string) bool {
+	if cg == nil {
+		return false
+	}
+	for _, c := range cg.List {
+		if strings.HasPrefix(c.Text, marker) {
+			return true
+		}
+	}
+	return false
+}
+
 // CalleeFunc resolves the function or method a call expression
 // invokes, or nil for builtins, conversions, and indirect calls
 // through function values.

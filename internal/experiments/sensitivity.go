@@ -87,9 +87,6 @@ func RunSensitivity(o Opts, bench string, fractions []float64) (*Sensitivity, er
 				cfg.Kernel.MinFreePages = 8
 			}
 			cfg.Kernel.TargetFreePages = 4 * cfg.Kernel.MinFreePages
-			cfg.Kernel.Daemon.MinFree = cfg.Kernel.MinFreePages
-			cfg.Kernel.Daemon.TargetFree = cfg.Kernel.TargetFreePages
-			cfg.Kernel.PM.MinFree = cfg.Kernel.MinFreePages
 			r, err := driver.Run(c.spec, cfg)
 			if err != nil {
 				return nil, "", err

@@ -84,7 +84,7 @@ func (in *interp) bodySites(body []lang.Stmt, proc string, bind map[string]Poly,
 	for _, s := range body {
 		switch st := s.(type) {
 		case *lang.Loop:
-			if loopContainsCall(st) {
+			if ContainsCall(st) {
 				in.bodySites(st.Body, proc, bind, mult.Mul(tripPoly(st, bind)), out, depth)
 				continue
 			}
@@ -101,13 +101,16 @@ func (in *interp) bodySites(body []lang.Stmt, proc string, bind map[string]Poly,
 	}
 }
 
-func loopContainsCall(l *lang.Loop) bool {
+// ContainsCall reports whether a call statement appears anywhere
+// beneath l. Such a loop is a driver loop: the verifiers treat it as
+// transparent and analyze the nests inside it independently.
+func ContainsCall(l *lang.Loop) bool {
 	for _, s := range l.Body {
 		switch st := s.(type) {
 		case *lang.Call:
 			return true
 		case *lang.Loop:
-			if loopContainsCall(st) {
+			if ContainsCall(st) {
 				return true
 			}
 		}
@@ -115,20 +118,24 @@ func loopContainsCall(l *lang.Loop) bool {
 	return false
 }
 
-// aref is one array reference found by the interpreter's own AST
-// walk, with its independently linearized subscript.
-type aref struct {
-	arr      *lang.Array
-	lin      *lang.Affine // nil when indirect or not linearizable
-	indirect bool         // the reference target is reached through an index array
-	path     []*lang.Loop
+// NestRef is one array reference found by the verifiers' own AST
+// walk, with its independently linearized subscript. The walk is
+// shared by this package and hogvet and deliberately separate from
+// the compiler's, so a disagreement with the compiled hints surfaces
+// as a finding instead of being inherited.
+type NestRef struct {
+	Array    *lang.Array
+	Lin      *lang.Affine // nil when indirect or not linearizable
+	Indirect bool         // the reference target is reached through an index array
+	Path     []*lang.Loop // enclosing loops within the nest, outermost first
 }
 
-// collectRefs gathers every reference beneath a nest root, including
-// the index-array reads of indirect references (which stream like
-// ordinary affine accesses).
-func (in *interp) collectRefs(root *lang.Loop) []aref {
-	var out []aref
+// NestRefs gathers every reference beneath a nest root, including the
+// index-array reads of indirect references (which stream like ordinary
+// affine accesses). known holds the compile-time bindings the
+// subscripts are linearized under.
+func NestRefs(root *lang.Loop, known lang.Env) []NestRef {
+	var out []NestRef
 	var walk func(l *lang.Loop, path []*lang.Loop)
 	walk = func(l *lang.Loop, path []*lang.Loop) {
 		path = append(path, l)
@@ -139,11 +146,11 @@ func (in *interp) collectRefs(root *lang.Loop) []aref {
 			case *lang.Assign:
 				for _, r := range lang.StmtRefs(st) {
 					p := append([]*lang.Loop{}, path...)
-					lin, ind := in.linearize(r)
-					out = append(out, aref{arr: r.Array, lin: lin, indirect: ind, path: p})
+					lin, ind := linearize(r, known)
+					out = append(out, NestRef{Array: r.Array, Lin: lin, Indirect: ind, Path: p})
 					if ind && len(r.Index) == 1 {
 						if ix, ok := r.Index[0].(*lang.Indirect); ok {
-							out = append(out, aref{arr: ix.Array, lin: ix.Idx, path: p})
+							out = append(out, NestRef{Array: ix.Array, Lin: ix.Idx, Path: p})
 						}
 					}
 				}
@@ -155,11 +162,11 @@ func (in *interp) collectRefs(root *lang.Loop) []aref {
 }
 
 // linearize flattens a reference into a single element offset under
-// the compiler's row-major rule and compile-time-known dimensions, so
-// signatures here agree with the signatures of the compiled hints. It
-// returns (nil, true) for indirect references and (nil, false) when a
-// dimension is not known at compile time.
-func (in *interp) linearize(r *lang.Ref) (*lang.Affine, bool) {
+// the compiler's row-major rule and the compile-time-known dimensions
+// in known, so signatures here agree with the signatures of the
+// compiled hints. It returns (nil, true) for indirect references and
+// (nil, false) when a dimension is not known at compile time.
+func linearize(r *lang.Ref, known lang.Env) (*lang.Affine, bool) {
 	if len(r.Index) == 1 {
 		if _, ok := r.Index[0].(*lang.Indirect); ok {
 			return nil, true
@@ -169,7 +176,7 @@ func (in *interp) linearize(r *lang.Ref) (*lang.Affine, bool) {
 	scale := int64(1)
 	for d := len(r.Array.Dims) - 1; d >= 0; d-- {
 		scales[d] = scale
-		dim, ok := r.Array.Dims[d].TryEval(in.known)
+		dim, ok := r.Array.Dims[d].TryEval(known)
 		if !ok {
 			return nil, false
 		}
@@ -186,10 +193,10 @@ func (in *interp) linearize(r *lang.Ref) (*lang.Affine, bool) {
 	return lin, false
 }
 
-// signature canonicalizes an affine's variable terms, matching the
-// verifier's group-locality rule: equal signatures touch the same
-// address stream up to a constant offset.
-func signature(a *lang.Affine) string {
+// Signature canonicalizes an affine's variable terms: two references
+// with equal signatures touch the same address stream up to a constant
+// offset (the compiler's "group locality").
+func Signature(a *lang.Affine) string {
 	terms := append([]lang.Term{}, a.Terms...)
 	sort.Slice(terms, func(i, j int) bool {
 		if terms[i].Var != terms[j].Var {
@@ -285,7 +292,7 @@ func (in *interp) wholeArray(a *lang.Array) (int64, Poly) {
 // analyzeSite computes the per-array abstract state of one nest
 // occurrence under the interpreter's version.
 func (in *interp) analyzeSite(s *site) []*arrayState {
-	refs := in.collectRefs(s.root)
+	refs := NestRefs(s.root, in.known)
 
 	// Group affine references by signature; collect ⊤ causes.
 	type arrAcc struct {
@@ -316,17 +323,17 @@ func (in *interp) analyzeSite(s *site) []*arrayState {
 	}
 
 	for _, r := range refs {
-		a := acc(r.arr)
-		if r.indirect {
+		a := acc(r.Array)
+		if r.Indirect {
 			addReason(a, "indirectly subscripted (a[b[i]])")
 			continue
 		}
-		if r.lin == nil {
+		if r.Lin == nil {
 			addReason(a, "dimensions unknown at compile time")
 			continue
 		}
 		symbolic := false
-		for _, t := range r.lin.Terms {
+		for _, t := range r.Lin.Terms {
 			if t.CoefParam != "" {
 				symbolic = true
 			}
@@ -335,15 +342,15 @@ func (in *interp) analyzeSite(s *site) []*arrayState {
 			addReason(a, "symbolic stride in subscript")
 			continue
 		}
-		sig := signature(r.lin)
+		sig := Signature(r.Lin)
 		g, ok := a.groups[sig]
 		if !ok {
-			g = &group{sig: sig, minC: r.lin.Const, maxC: r.lin.Const, ok: true}
+			g = &group{sig: sig, minC: r.Lin.Const, maxC: r.Lin.Const, ok: true}
 			// Interval width: Σ |coef|·(trips−1) over the group's loop
 			// variables, plus the constant spread, plus one.
-			for _, t := range r.lin.Terms {
+			for _, t := range r.Lin.Terms {
 				var loop *lang.Loop
-				for _, l := range r.path {
+				for _, l := range r.Path {
 					if l.Var == t.Var {
 						loop = l
 					}
@@ -362,11 +369,11 @@ func (in *interp) analyzeSite(s *site) []*arrayState {
 			a.groups[sig] = g
 			a.order = append(a.order, sig)
 		}
-		if r.lin.Const < g.minC {
-			g.minC = r.lin.Const
+		if r.Lin.Const < g.minC {
+			g.minC = r.Lin.Const
 		}
-		if r.lin.Const > g.maxC {
-			g.maxC = r.lin.Const
+		if r.Lin.Const > g.maxC {
+			g.maxC = r.Lin.Const
 		}
 	}
 
@@ -393,7 +400,7 @@ func (in *interp) analyzeSite(s *site) []*arrayState {
 		case h.IndexArray != nil || h.Affine == nil:
 			addReason(a, "release of an indirect reference")
 		default:
-			sig := signature(h.Affine)
+			sig := Signature(h.Affine)
 			if g, ok := a.groups[sig]; ok {
 				if g.release == nil {
 					g.release = h

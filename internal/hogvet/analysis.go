@@ -1,11 +1,8 @@
 package hogvet
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"memhogs/internal/compiler"
+	"memhogs/internal/footprint"
 	"memhogs/internal/lang"
 )
 
@@ -17,18 +14,7 @@ type vetCtx struct {
 	known lang.Env
 	ds    Diagnostics
 
-	refCache map[*lang.Loop][]vetRef // nest root -> collected references
-}
-
-// vetRef is one array reference found by the verifier's own AST walk,
-// with its independently linearized subscript.
-type vetRef struct {
-	assign   *lang.Assign
-	ref      *lang.Ref
-	arr      *lang.Array
-	lin      *lang.Affine // nil when indirect or not linearizable
-	indirect bool
-	path     []*lang.Loop // enclosing loops within the nest, outermost first
+	refCache map[*lang.Loop][]footprint.NestRef // nest root -> collected references
 }
 
 func (v *vetCtx) add(d Diagnostic) {
@@ -73,88 +59,15 @@ func (v *vetCtx) boundsKnown(path []*lang.Loop) bool {
 	return true
 }
 
-// linearize flattens a reference into a single element offset, exactly
-// mirroring the compiler's row-major rule (but implemented
-// independently so disagreements surface as findings rather than being
-// inherited). It returns nil for indirect or non-linearizable
-// references.
-func (v *vetCtx) linearize(r *lang.Ref) (*lang.Affine, bool) {
-	if len(r.Index) == 1 {
-		if _, ok := r.Index[0].(*lang.Indirect); ok {
-			return nil, true
-		}
+// nestRefs returns (and caches) footprint.NestRefs for a nest root
+// under the compile-time-known bindings.
+func (v *vetCtx) nestRefs(root *lang.Loop) []footprint.NestRef {
+	refs, ok := v.refCache[root]
+	if !ok {
+		refs = footprint.NestRefs(root, v.known)
+		v.refCache[root] = refs
 	}
-	scales := make([]int64, len(r.Array.Dims))
-	scale := int64(1)
-	for d := len(r.Array.Dims) - 1; d >= 0; d-- {
-		scales[d] = scale
-		dim, ok := r.Array.Dims[d].TryEval(v.known)
-		if !ok {
-			return nil, false
-		}
-		scale *= dim
-	}
-	lin := &lang.Affine{}
-	for d, idx := range r.Index {
-		aff, ok := idx.(*lang.Affine)
-		if !ok {
-			return nil, true
-		}
-		lin = lang.AddAffine(lin, lang.ScaleAffine(aff, scales[d]))
-	}
-	return lin, false
-}
-
-// nestRefs collects (and caches) every reference beneath a nest root,
-// including the index-array reads of indirect references (which the
-// compiler analyzes as ordinary affine streams).
-func (v *vetCtx) nestRefs(root *lang.Loop) []vetRef {
-	if refs, ok := v.refCache[root]; ok {
-		return refs
-	}
-	var out []vetRef
-	var walk func(l *lang.Loop, path []*lang.Loop)
-	walk = func(l *lang.Loop, path []*lang.Loop) {
-		path = append(path, l)
-		for _, s := range l.Body {
-			switch st := s.(type) {
-			case *lang.Loop:
-				walk(st, path)
-			case *lang.Assign:
-				for _, r := range lang.StmtRefs(st) {
-					p := append([]*lang.Loop{}, path...)
-					lin, ind := v.linearize(r)
-					out = append(out, vetRef{assign: st, ref: r, arr: r.Array, lin: lin, indirect: ind, path: p})
-					if ind && len(r.Index) == 1 {
-						if ix, ok := r.Index[0].(*lang.Indirect); ok {
-							out = append(out, vetRef{assign: st, ref: r, arr: ix.Array, lin: ix.Idx, path: p})
-						}
-					}
-				}
-			}
-		}
-	}
-	walk(root, nil)
-	v.refCache[root] = out
-	return out
-}
-
-// signature canonicalizes an affine's variable terms: two references
-// with equal signatures touch the same address stream up to a constant
-// offset (the compiler's "group locality").
-func signature(a *lang.Affine) string {
-	terms := append([]lang.Term{}, a.Terms...)
-	sort.Slice(terms, func(i, j int) bool {
-		if terms[i].Var != terms[j].Var {
-			return terms[i].Var < terms[j].Var
-		}
-		return terms[i].CoefParam < terms[j].CoefParam
-	})
-	var b strings.Builder
-	for _, t := range terms {
-		fmt.Fprintf(&b, "%s*%d*%s|", t.Var, t.Coef, t.CoefParam)
-	}
-	return b.String()
+	return refs
 }
 
 // collectNests returns every top-level loop nest the compiler analyzes
@@ -183,7 +96,7 @@ func bodyNests(body []lang.Stmt, proc string) []nest {
 		if !ok {
 			continue
 		}
-		if containsCall(l) {
+		if footprint.ContainsCall(l) {
 			// Driver loop: its inner nests are analyzed independently.
 			out = append(out, bodyNests(l.Body, proc)...)
 			continue
@@ -191,20 +104,6 @@ func bodyNests(body []lang.Stmt, proc string) []nest {
 		out = append(out, nest{root: l, proc: proc})
 	}
 	return out
-}
-
-func containsCall(l *lang.Loop) bool {
-	for _, s := range l.Body {
-		switch st := s.(type) {
-		case *lang.Call:
-			return true
-		case *lang.Loop:
-			if containsCall(st) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // temporalLoops recomputes, from the AST alone, the loops the

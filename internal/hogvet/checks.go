@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"memhogs/internal/compiler"
+	"memhogs/internal/footprint"
 	"memhogs/internal/lang"
 )
 
@@ -25,7 +26,7 @@ func VetSchedule(prog *lang.Program, tgt compiler.Target, hints []compiler.Hint,
 	for k, val := range prog.Known {
 		known[k] = val
 	}
-	v := &vetCtx{prog: prog, tgt: tgt, opts: opts, known: known, refCache: map[*lang.Loop][]vetRef{}}
+	v := &vetCtx{prog: prog, tgt: tgt, opts: opts, known: known, refCache: map[*lang.Loop][]footprint.NestRef{}}
 	for i := range hints {
 		v.checkHint(&hints[i])
 	}
@@ -113,19 +114,19 @@ func (v *vetCtx) checkHint(h *compiler.Hint) {
 	// terms match the release's subscript but whose constant offset
 	// trails it will touch the released pages on later iterations.
 	innermost := h.Path[len(h.Path)-1]
-	sig := signature(h.Affine)
-	var trailing *vetRef
+	sig := footprint.Signature(h.Affine)
+	var trailing *footprint.NestRef
 	var sawOtherPattern bool
 	for i, r := range v.nestRefs(h.Path[0]) {
-		if r.arr != h.Array {
+		if r.Array != h.Array {
 			continue
 		}
-		if r.lin == nil || len(r.path) == 0 || r.path[len(r.path)-1] != innermost || signature(r.lin) != sig {
+		if r.Lin == nil || len(r.Path) == 0 || r.Path[len(r.Path)-1] != innermost || footprint.Signature(r.Lin) != sig {
 			sawOtherPattern = true
 			continue
 		}
-		if r.lin.Const < h.Affine.Const {
-			if trailing == nil || r.lin.Const < trailing.lin.Const {
+		if r.Lin.Const < h.Affine.Const {
+			if trailing == nil || r.Lin.Const < trailing.Lin.Const {
 				trailing = &v.nestRefs(h.Path[0])[i]
 			}
 		}
@@ -141,7 +142,7 @@ func (v *vetCtx) checkHint(h *compiler.Hint) {
 			Proc: h.Proc, Line: hintLine(h), Array: arrName(h.Array), Tag: h.Tag,
 			Message: fmt.Sprintf("release of %s (tag %d) at offset %s fires %d element(s) ahead of trailing reference %s[%s]",
 				arrName(h.Array), h.Tag, lang.FormatAffine(h.Affine),
-				h.Affine.Const-trailing.lin.Const, arrName(h.Array), lang.FormatAffine(trailing.lin)),
+				h.Affine.Const-trailing.Lin.Const, arrName(h.Array), lang.FormatAffine(trailing.Lin)),
 			Detail: detail,
 			Fix:    "make the separating loop bounds known at compile time, or compile with Target.Adaptive to track the true trailing reference",
 		})
@@ -227,7 +228,7 @@ func (v *vetCtx) checkDeadHints(hints []compiler.Hint) {
 		}
 		live := false
 		for _, r := range v.nestRefs(h.Path[0]) {
-			if r.arr == h.Array {
+			if r.Array == h.Array {
 				live = true
 				break
 			}

@@ -30,7 +30,9 @@ type Config struct {
 	// machine (byte-identical to the pre-sharding simulator).
 	Nodes int
 
-	// VM tunables.
+	// VM tunables. They are the only copy of the free-memory
+	// thresholds: NewSystem derives the paging daemons' MinFree and
+	// TargetFree from them, and AttachPM the PM's MinFree.
 	MinFreePages    int // min_freemem: daemon wakes below this
 	TargetFreePages int // desfree: daemon steals until free reaches this
 
@@ -43,14 +45,18 @@ type Config struct {
 	// Disk subsystem (ten Cheetah 4LP disks, five SCSI adapters).
 	Disk disk.Config
 
-	// Fault-path costs.
+	// Fault-path costs. NewSystem overwrites VM.FarLatency and
+	// VM.FarCPU (from Far.Latency and Far.CPU).
 	VM vm.Params
 
-	// Daemon costs.
+	// Daemon costs. NewSystem overwrites Daemon.MinFree and
+	// Daemon.TargetFree (from MinFreePages and TargetFreePages) and
+	// Releaser.FarMinPrio (from Far.MinPrio).
 	Daemon   pageout.DaemonConfig
 	Releaser pageout.ReleaserConfig
 
-	// PagingDirected PM syscall costs.
+	// PagingDirected PM syscall costs. AttachPM overwrites PM.MinFree
+	// (from MinFreePages) and PM.MaxRSS (from its argument).
 	PM pdpm.Config
 
 	// UserFlush is the threshold at which accumulated user compute is
@@ -77,7 +83,7 @@ type FarConfig struct {
 // programs, 16 KB pages, and swap striped over ten disks behind five
 // SCSI adapters.
 func DefaultConfig() Config {
-	cfg := Config{
+	return Config{
 		NCPU:         4,
 		CPUMHz:       225,
 		CPUQuantum:   10 * sim.Millisecond,
@@ -131,10 +137,6 @@ func DefaultConfig() Config {
 			MinPrio: 1,
 		},
 	}
-	cfg.Daemon.MinFree = cfg.MinFreePages
-	cfg.Daemon.TargetFree = cfg.TargetFreePages
-	cfg.PM.MinFree = cfg.MinFreePages
-	return cfg
 }
 
 // TestConfig returns a scaled-down machine (a few MB of memory, two
@@ -146,9 +148,6 @@ func TestConfig() Config {
 	cfg.TargetFreePages = 24
 	cfg.Disk.NumDisks = 2
 	cfg.Disk.NumAdapters = 1
-	cfg.Daemon.MinFree = cfg.MinFreePages
-	cfg.Daemon.TargetFree = cfg.TargetFreePages
-	cfg.PM.MinFree = cfg.MinFreePages
 	return cfg
 }
 

@@ -85,16 +85,16 @@ func NewSystem(cfg Config) *System {
 	// machine keeps the same total reserve; with one node this leaves
 	// the paper's tunables untouched.
 	dkcfg := cfg.Daemon
-	low := cfg.MinFreePages
+	dkcfg.MinFree = cfg.MinFreePages
+	dkcfg.TargetFree = cfg.TargetFreePages
 	if nodes > 1 {
-		dkcfg.MinFree = perNode(cfg.Daemon.MinFree, nodes)
-		dkcfg.TargetFree = perNode(cfg.Daemon.TargetFree, nodes)
+		dkcfg.MinFree = perNode(dkcfg.MinFree, nodes)
+		dkcfg.TargetFree = perNode(dkcfg.TargetFree, nodes)
 		if dkcfg.TargetFree < dkcfg.MinFree {
 			dkcfg.TargetFree = dkcfg.MinFree
 		}
-		low = perNode(cfg.MinFreePages, nodes)
 	}
-	sys.Phys.LowWater = low
+	sys.Phys.LowWater = dkcfg.MinFree
 	sys.Phys.FreeChanged = func(free int) {
 		for _, pm := range sys.pms {
 			pm.FreeMemChanged(free)
@@ -360,6 +360,7 @@ func (p *Process) HomeReleaser() *pageout.Releaser { return p.Sys.Releasers[p.No
 // whole address space. maxRSS <= 0 means unlimited.
 func (p *Process) AttachPM(maxRSS int) *pdpm.PM {
 	cfg := p.Sys.Cfg.PM
+	cfg.MinFree = p.Sys.Cfg.MinFreePages
 	cfg.MaxRSS = maxRSS
 	p.PM = pdpm.Attach(p.AS, p.Sys.Phys, p.HomeReleaser(), cfg)
 	p.PM.Chaos = p.Sys.Chaos

@@ -259,3 +259,50 @@ func TestAttachPM(t *testing.T) {
 	})
 	sys.Run(0)
 }
+
+// TestFreeThresholdsDerived changes only MinFreePages and
+// TargetFreePages and checks that both consumers follow: the PM's
+// limit word (equation 1) reserves MinFreePages, and the paging daemon
+// wakes exactly when free memory falls below MinFreePages and steals
+// until it reaches TargetFreePages.
+func TestFreeThresholdsDerived(t *testing.T) {
+	cfg := TestConfig() // 256 frames
+	cfg.MinFreePages = 64
+	cfg.TargetFreePages = 96
+	sys := NewSystem(cfg)
+	defer sys.Sim.Close()
+	p := sys.NewProcess("app", cfg.UserMemPages)
+	pm := p.AttachPM(0)
+	if got, want := pm.Shared().Limit, cfg.UserMemPages-cfg.MinFreePages; got != want {
+		t.Errorf("PM limit = %d, want %d (all frames free minus MinFreePages)", got, want)
+	}
+	p.Start(true, func(th *Thread) {
+		// Each hard fault brings in a Readahead cluster of pages.
+		vpn := 0
+		for ; sys.Phys.FreeCount() > cfg.MinFreePages; vpn++ {
+			th.Touch(vpn, false)
+		}
+		th.SleepIdle(100 * sim.Millisecond)
+		if free := sys.Phys.FreeCount(); free != cfg.MinFreePages {
+			t.Errorf("free = %d after the fill, want exactly MinFreePages %d", free, cfg.MinFreePages)
+		}
+		if n := sys.Daemon.Stats.Activations; n != 0 {
+			t.Errorf("daemon woke %d times with free memory at MinFreePages", n)
+		}
+		for p.AS.IsResident(vpn) {
+			vpn++
+		}
+		th.Touch(vpn, false)
+		th.SleepIdle(100 * sim.Millisecond)
+		if n := sys.Daemon.Stats.Activations; n != 1 {
+			t.Errorf("daemon woke %d times after free memory fell below MinFreePages, want 1", n)
+		}
+		if free := sys.Phys.FreeCount(); free < cfg.TargetFreePages {
+			t.Errorf("free after the daemon's activation = %d, want >= TargetFreePages %d", free, cfg.TargetFreePages)
+		}
+	})
+	sys.Run(0)
+	if !p.Done {
+		t.Fatal("process did not complete")
+	}
+}
