@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test vet fmt hogvet simvet certify lint perfbench examples experiments tenants tiering verify golden trace chaos fuzz clean
+.PHONY: build test vet fmt hogvet simvet certify lint perfbench examples experiments paper tenants tiering verify golden trace chaos fuzz clean
 
 build:
 	go build ./...
@@ -70,11 +70,22 @@ examples:
 	go run ./examples/indirect
 	go run ./examples/timeline
 
-# Full Table-1 platform; 10-15 minutes serial. `-j 0` runs the
-# campaign's independent simulations on one worker per CPU with
-# byte-identical output.
+# Full Table-1 platform: 117 s serial (`-j 1`) and 66 s at `-j 0` on a
+# 2-vCPU Xeon with go1.24. `-j 0` runs the campaign's independent
+# simulations on one worker per CPU with byte-identical output.
 experiments:
 	go run ./cmd/memhog -j 0 all
+
+# Paper-scale gate: the full campaign and the claims check must
+# reproduce the recorded experiments_full.txt and verify_full.txt byte
+# for byte (verify also exits non-zero on a failed claim). About 2 min
+# on a 2-vCPU Xeon (66 s for all, 62 s for verify).
+paper: build
+	@go run ./cmd/memhog -quiet -j 0 all > /tmp/memhog-paper-all.txt
+	@cmp experiments_full.txt /tmp/memhog-paper-all.txt
+	@go run ./cmd/memhog -quiet -j 0 verify > /tmp/memhog-paper-verify.txt
+	@cmp verify_full.txt /tmp/memhog-paper-verify.txt
+	@echo "paper: all and verify match experiments_full.txt and verify_full.txt"
 
 # Multi-tenant smoke: the NUMA-sharded campaign on the scaled machine
 # must produce byte-identical tables at any worker count.

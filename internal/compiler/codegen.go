@@ -27,25 +27,22 @@ type xloop struct {
 	// directives and the sites of its own assignments, each holding
 	// its index here in xref.stream. affine indexes the affine ones
 	// among them, the only streams span reads. A quiet loop is
-	// innermost and owns an indirect reference; quietDirs lists its
-	// indirect directives, the only ones a quiet step fires.
-	vSlot     int32
-	clo, chi  cscalar
-	streams   []*xref
-	affine    []int32
-	quiet     bool
-	quietDirs []*xdir
+	// innermost and owns an indirect reference; plan indexes its
+	// quiet plan in Image.plans, and is -1 for any other loop.
+	vSlot    int32
+	clo, chi cscalar
+	streams  []*xref
+	affine   []int32
+	plan     int32
 }
 
 func (*xloop) isX() {}
 
 // xassign is an executable compute statement: touch its sites, then
-// account its cost. indSites, filled by finalize, lists the indirect
-// sites among sites, the only ones a quiet step touches.
+// account its cost.
 type xassign struct {
-	cost     float64
-	sites    []*accessSite
-	indSites []*accessSite
+	cost  float64
+	sites []*accessSite
 }
 
 func (*xassign) isX() {}

@@ -120,7 +120,8 @@ type Compiled struct {
 	slots     map[string]int32
 	slotNames []string
 
-	indirect []*xref // every a[b[i]] reference, in finalize order
+	indirect   []*xref  // every a[b[i]] reference, in finalize order
+	quietLoops []*xloop // by xloop.plan
 }
 
 // Compile analyzes and transforms a program for the given target.

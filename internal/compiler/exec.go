@@ -40,6 +40,28 @@ type Image struct {
 	// compiler's slot table); each Run clones them.
 	initVals  []int64
 	initBound []bool
+
+	plans [][]quietOp // by xloop.plan
+}
+
+// quietOp is one step of a quiet loop's iteration, resolved against an
+// Image: a work charge when stream is -1, and otherwise the observation
+// of an indirect reference, a directive when dir is non-nil and an
+// access site when it is nil. An observation reads its index stream
+// and carries what resolving its target needs: the index array's ID,
+// length and values, the target array's extent, base and element size,
+// and its dirLast or siteLast slot.
+type quietOp struct {
+	stream int32
+	last   int32
+	idxID  int32
+	write  bool
+	dir    *xdir
+	cost   float64
+	n, m   int64
+	base   int64
+	elem   int64
+	data   func(int64) int64
 }
 
 // Bind lays out the program's arrays for the given parameter values
@@ -102,7 +124,40 @@ func (c *Compiled) Bind(params map[string]int64) (*Image, error) {
 			return nil, fmt.Errorf("compiler: index array %s has no data generator", x.ind.idxArr.Name)
 		}
 	}
+	img.plans = make([][]quietOp, len(c.quietLoops))
+	for i, l := range c.quietLoops {
+		img.plans[i] = img.quietPlan(l)
+	}
 	return img, nil
+}
+
+// quietPlan resolves quiet loop l's plan: its indirect directives, then
+// each assignment's indirect sites followed by the assignment's work,
+// the order in which a full iteration makes those calls.
+func (img *Image) quietPlan(l *xloop) []quietOp {
+	var plan []quietOp
+	obs := func(x *xref, d *xdir, last int, write bool) quietOp {
+		return quietOp{
+			stream: x.stream, last: int32(last), idxID: x.idxID, write: write, dir: d,
+			n: img.lens[x.idxID], m: img.lens[x.arrID],
+			base: img.bases[x.arrID], elem: int64(x.elem), data: x.ind.idxArr.Data,
+		}
+	}
+	for _, d := range l.dirs {
+		if d.ind != nil {
+			plan = append(plan, obs(&d.xref, d, d.id, false))
+		}
+	}
+	for _, st := range l.body {
+		a := st.(*xassign)
+		for _, site := range a.sites {
+			if site.ind != nil {
+				plan = append(plan, obs(&site.xref, nil, site.id, site.write))
+			}
+		}
+		plan = append(plan, quietOp{stream: -1, cost: a.cost})
+	}
+	return plan
 }
 
 // PageRange returns the [first, last] virtual pages of an array, and
@@ -141,6 +196,7 @@ func (img *Image) newRunner(h Hints) *runner {
 		isFirst:  make([]bool, len(img.C.slotNames)),
 		dirLast:  make([]int64, img.C.numDirs),
 		siteLast: make([]int64, img.C.numSites),
+		memo:     indexMemo{arr: -1},
 	}
 	for i := range r.dirLast {
 		r.dirLast[i] = -1
@@ -158,7 +214,7 @@ func (img *Image) newRunner(h Hints) *runner {
 //
 // streams is the run-wide stack of address and index streams, one
 // frame per active loop; frame is the first stream of the innermost
-// one.
+// one. memo holds the index element read last.
 type runner struct {
 	img      *Image
 	h        Hints
@@ -170,6 +226,7 @@ type runner struct {
 	scratch  []int64
 	streams  []stream
 	frame    int
+	memo     indexMemo
 }
 
 // stream is one reference followed through a loop: its position at the
@@ -226,10 +283,11 @@ func (r *runner) call(c *xcall) error {
 
 // loop is the one loop executor. At entry every reference of the loop
 // opens a stream; each step then reads affine pages and indirect
-// references' index elements from the streams. A strip-mode loop steps
-// from page crossing to page crossing. Any other loop steps one
-// iteration at a time, and a quiet loop runs the iterations up to its
-// next affine page crossing as quiet steps.
+// references' index elements from the streams, and advances them all
+// by its iteration count. A strip-mode loop steps from page crossing
+// to page crossing. Any other loop steps one iteration at a time, and
+// a quiet loop runs the iterations up to its next affine page crossing
+// as one quiet run.
 func (r *runner) loop(l *xloop) error {
 	lo, err := r.evalScalar(&l.clo)
 	if err != nil {
@@ -273,8 +331,8 @@ func (r *runner) loop(l *xloop) error {
 	for it, steps := int64(0), int64(1); it < iters; it += steps {
 		switch {
 		case quietLeft > 0:
-			quietLeft--
-			err = r.quietStep(l)
+			r.quietRun(l, quietLeft)
+			steps, quietLeft = quietLeft, 0
 		case strip:
 			// A strip step touches its sites before firing the
 			// directives and charges the whole step's work at once.
@@ -291,10 +349,11 @@ func (r *runner) loop(l *xloop) error {
 		default:
 			// A full iteration fires the directives before running
 			// the body.
+			steps = 1
 			if err = r.fireAll(l.dirs); err == nil {
 				err = r.stmts(l.body)
 			}
-			if l.quiet {
+			if l.plan >= 0 {
 				quietLeft = r.span(l, iters-it) - 1
 			}
 		}
@@ -312,27 +371,47 @@ func (r *runner) loop(l *xloop) error {
 	return nil
 }
 
-// quietStep runs one iteration of a quiet loop on which every affine
-// stream stays on the page the last full iteration observed. An affine
-// observation would find its page already in dirLast or siteLast and
-// make no call, so the step fires only the indirect directives and
-// touches only the indirect sites, in their usual order, and still
-// charges every assignment's work: the ordered calls are those of a
-// full iteration.
+// quietRun runs the next n iterations of quiet loop l, on all of which
+// every affine stream stays on the page the last full iteration
+// observed. An affine observation would find its page already in
+// dirLast or siteLast and make no call, so each iteration walks only
+// l's plan: it fires the indirect directives, touches the indirect
+// sites and charges every assignment's work, which are the ordered
+// calls of a full iteration. Iteration k of the run reads each index
+// stream in place, at pos + k·delta, so no stream moves here; the
+// caller then advances every stream by n.
 //
 //simvet:hot
-func (r *runner) quietStep(l *xloop) error {
-	if err := r.fireAll(l.quietDirs); err != nil {
-		return err
-	}
-	for _, st := range l.body {
-		a := st.(*xassign)
-		if err := r.touchAll(a.indSites); err != nil {
-			return err
+func (r *runner) quietRun(l *xloop, n int64) {
+	plan := r.img.plans[l.plan]
+	streams := r.streams[r.frame:]
+	shift := r.img.pageShift
+	h, dirLast, siteLast, memo := r.h, r.dirLast, r.siteLast, r.memo
+	for k := int64(0); k < n; k++ {
+		for i := range plan {
+			op := &plan[i]
+			if op.stream < 0 {
+				h.Work(op.cost)
+				continue
+			}
+			t := &streams[op.stream]
+			v := memo.target(op.idxID, op.data, t.pos+k*t.delta, op.n, op.m)
+			if v < 0 {
+				continue
+			}
+			page := (op.base + v*op.elem) >> shift
+			if op.dir != nil {
+				if last := dirLast[op.last]; page != last {
+					dirLast[op.last] = page
+					r.issue(op.dir, page, last < 0)
+				}
+			} else if page != siteLast[op.last] {
+				siteLast[op.last] = page
+				h.Touch(page, op.write)
+			}
 		}
-		r.h.Work(a.cost)
 	}
-	return nil
+	r.memo = memo
 }
 
 // span returns how many iterations, at most rest, the current loop l
@@ -434,39 +513,45 @@ func (r *runner) page(x *xref) (page int64, ok bool, err error) {
 		} else if v, err := r.evalAffine(&x.cidx); err == nil {
 			idx = v
 		}
-		if elem, ok = r.indirectElem(x, idx); !ok {
+		if elem = r.memo.target(x.idxID, x.ind.idxArr.Data, idx, r.img.lens[x.idxID], r.img.lens[x.arrID]); elem < 0 {
 			return 0, false, nil
 		}
 	}
 	return r.img.byteOf(x, elem) >> r.img.pageShift, true, nil
 }
 
-// indirectElem resolves the a[b[i]] target element for index element
-// idx of b. A negative idx has no target; one past b's end reads its
-// last element (a look-ahead clamped to the array). An index value
-// outside a's extent wraps into it.
+// indexMemo is the index element read last: element idx of the index
+// array with ID arr holds v. arr is -1 before the first read.
+type indexMemo struct {
+	arr    int32
+	idx, v int64
+}
+
+// target resolves the a[b[i]] target element for element idx of index
+// array b, whose ID is arr, n elements long with values from data, in
+// an array a of m elements; it returns -1 for no target. A negative
+// idx has no target; one past b's end reads its last element (a
+// look-ahead clamped to the array). An index value outside a's extent
+// wraps into it. data is a pure function, so a read of the element the
+// memo holds reuses its value.
 //
 //simvet:hot
-func (r *runner) indirectElem(x *xref, idx int64) (int64, bool) {
-	n := r.img.lens[x.idxID]
-	if idx < 0 || n == 0 {
-		return 0, false
+func (mo *indexMemo) target(arr int32, data func(int64) int64, idx, n, m int64) int64 {
+	idx = min(idx, n-1) // -1 when b is empty
+	if idx < 0 || m == 0 {
+		return -1
 	}
-	if idx >= n {
-		idx = n - 1
+	if idx != mo.idx || arr != mo.arr {
+		mo.arr, mo.idx, mo.v = arr, idx, data(idx)
 	}
-	v := x.ind.idxArr.Data(idx)
-	m := r.img.lens[x.arrID]
-	if m == 0 {
-		return 0, false
-	}
-	if v < 0 || v >= m {
+	v := mo.v
+	if uint64(v) >= uint64(m) { // v < 0 or v >= m
 		v %= m
 		if v < 0 {
 			v += m
 		}
 	}
-	return v, true
+	return v
 }
 
 // fire observes one directive at the current iteration and issues its

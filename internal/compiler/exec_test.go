@@ -253,17 +253,152 @@ for i = 0 to 3 {
 	prog.SetData("key", func(e int64) int64 { return int64(sim.Hash64(uint64(e)) % 65536) })
 	near := testTarget()
 	near.FaultLatency = 20 * sim.Microsecond
+	quietSameAsOracle(t, prog, near, map[string]int64{"S": 3})
+}
+
+// quietSameAsOracle checks that prog's inner loop i{j{...}} runs
+// quiet, then that the executor makes the oracle's ordered calls on
+// prog in all four versions of tgt.
+func quietSameAsOracle(t *testing.T, prog *lang.Program, tgt Target, params map[string]int64) {
+	t.Helper()
 	for _, tc := range []struct {
 		label             string
 		prefetch, release bool
 	}{{"O", false, false}, {"P", true, false}, {"R", false, true}, {"B", true, true}} {
-		tgt := near
 		tgt.Prefetch, tgt.Release = tc.prefetch, tc.release
 		inner := MustCompile(prog, tgt).Main[0].(*xloop).body[0].(*xloop)
-		if !inner.quiet || inner.strip != nil {
-			t.Fatalf("%s: inner loop quiet=%v strip=%v, want a quiet loop", tc.label, inner.quiet, inner.strip != nil)
+		if inner.plan < 0 || inner.strip != nil {
+			t.Fatalf("%s: inner loop plan=%d strip=%v, want a quiet loop", tc.label, inner.plan, inner.strip != nil)
 		}
-		sameAsOracle(t, "quietmix "+tc.label, prog, tgt, map[string]int64{"S": 3})
+		sameAsOracle(t, prog.Name+" "+tc.label, prog, tgt, params)
+	}
+}
+
+// hashData returns index values hashed from seed into [0, m).
+func hashData(seed uint64, m int64) func(int64) int64 {
+	return func(e int64) int64 { return int64(sim.Hash64(seed+uint64(e)) % uint64(m)) }
+}
+
+// TestQuietRunTwoIndexArrays reads two index arrays at the same
+// element in every iteration. A repeat read reuses the value only for
+// the same element of the same index array, so k2[j] must not be
+// served from k1[j].
+func TestQuietRunTwoIndexArrays(t *testing.T) {
+	prog := lang.MustParse(`
+program twokeys
+array k1[6000] of int64
+array k2[6000] of int64
+array t[65536] of float64
+array u[65536] of float64
+for i = 0 to 2 {
+    for j = 0 to 5999 {
+        t[k1[j]] = t[k1[j]] + u[k2[j]] @ 10
+    }
+}
+`)
+	prog.SetData("k1", hashData(1, 65536))
+	prog.SetData("k2", hashData(2, 65536))
+	near := testTarget()
+	near.FaultLatency = 20 * sim.Microsecond
+	quietSameAsOracle(t, prog, near, nil)
+}
+
+// TestQuietRunOneIndexArrayTwoSubscripts reads one index array at two
+// subscripts in every iteration, so reads of it alternate between two
+// elements.
+func TestQuietRunOneIndexArrayTwoSubscripts(t *testing.T) {
+	prog := lang.MustParse(`
+program twosubs
+array key[6010] of int64
+array t[65536] of float64
+array u[65536] of float64
+for i = 0 to 2 {
+    for j = 0 to 5999 {
+        t[key[j]] = t[key[j]] + u[key[j+10]] @ 10
+    }
+}
+`)
+	prog.SetData("key", hashData(3, 65536))
+	near := testTarget()
+	near.FaultLatency = 20 * sim.Microsecond
+	quietSameAsOracle(t, prog, near, nil)
+}
+
+// TestQuietRunClampedLookAhead gives the indirect prefetch a
+// look-ahead longer than its index array, so its pre-shifted stream
+// starts past the array's end and every read of it clamps to the last
+// element.
+func TestQuietRunClampedLookAhead(t *testing.T) {
+	prog := lang.MustParse(`
+program clampall
+array key[3000] of int64
+array t[65536] of float64
+for i = 0 to 2 {
+    for j = 0 to 2999 {
+        t[key[j]] = t[key[j]] + 1 @ 10
+    }
+}
+`)
+	prog.SetData("key", hashData(4, 65536))
+	tgt := testTarget()
+	tgt.Prefetch = true
+	for _, d := range MustCompile(prog, tgt).Main[0].(*xloop).body[0].(*xloop).dirs {
+		if d.ind != nil && d.itersAhead < 3000 {
+			t.Fatalf("look-ahead %d iterations does not start past key's end", d.itersAhead)
+		}
+	}
+	quietSameAsOracle(t, prog, tgt, nil)
+}
+
+// TestQuietRunAllocatesNothing runs a quiet loop's plan once to grow
+// the runner's buffers, then checks that further quiet runs allocate
+// nothing. It also checks that the run reads each index element once
+// per iteration: the prefetch's look-ahead element, and one read that
+// both sites of key[j] share.
+func TestQuietRunAllocatesNothing(t *testing.T) {
+	prog := lang.MustParse(`
+program quietalloc
+array key[8192] of int64
+array t[65536] of float64
+array u[8192] of float64
+for j = 0 to 8191 {
+    t[key[j]] = t[key[j]] + u[j] @ 10
+}
+`)
+	reads := 0
+	data := hashData(5, 65536)
+	prog.SetData("key", func(e int64) int64 { reads++; return data(e) })
+	tgt := testTarget()
+	tgt.FaultLatency = 20 * sim.Microsecond
+	c := MustCompile(prog, tgt)
+	l := c.Main[0].(*xloop)
+	if l.plan < 0 {
+		t.Fatal("loop is not quiet")
+	}
+	img, err := c.Bind(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &hashHints{}
+	r := img.newRunner(h)
+	r.vals[l.vSlot], r.bound[l.vSlot] = 0, true
+	for _, x := range l.streams {
+		st, err := r.open(x, l.vSlot, l.step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.streams = append(r.streams, st)
+	}
+	const n = 1000
+	r.quietRun(l, n)
+	if reads != 2*n {
+		t.Errorf("%d index reads in %d quiet iterations, want %d", reads, n, 2*n)
+	}
+	if h.calls == 0 {
+		t.Fatal("quiet run made no calls")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { r.quietRun(l, n) }); allocs != 0 {
+		t.Fatalf("warmed quiet run allocates %v times", allocs)
 	}
 }
 

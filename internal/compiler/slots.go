@@ -150,23 +150,21 @@ func (c *Compiled) compileSlotStmts(list []xstmt, owner *xloop) {
 			}
 			c.compileSlotStmts(x.body, x)
 			// A quiet loop is innermost and owns an indirect
-			// reference, which keeps it from a strip plan.
-			x.quiet = len(x.affine) < len(x.streams)
+			// reference, which keeps it from a strip plan; Bind
+			// resolves its quiet plan.
+			quiet := len(x.affine) < len(x.streams)
 			for _, st := range x.body {
 				_, isAssign := st.(*xassign)
-				x.quiet = x.quiet && isAssign
+				quiet = quiet && isAssign
 			}
-			for _, d := range x.dirs {
-				if x.quiet && d.ind != nil {
-					x.quietDirs = append(x.quietDirs, d)
-				}
+			x.plan = -1
+			if quiet {
+				x.plan = int32(len(c.quietLoops))
+				c.quietLoops = append(c.quietLoops, x)
 			}
 		case *xassign:
 			for _, site := range x.sites {
 				c.compileRef(&site.xref, owner)
-				if site.ind != nil {
-					x.indSites = append(x.indSites, site)
-				}
 			}
 		case *xcall:
 			// The shared proc body was compiled by the proc walk; only

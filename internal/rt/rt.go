@@ -124,11 +124,39 @@ type workItem struct {
 	prios []int // eq. 2 reuse priority of each released page
 }
 
-// relQueue buffers releases for one tag (Figure 6(b)).
+// relQueue buffers releases for one tag (Figure 6(b)), oldest first:
+// the live pages are pages[head:]. A pop only advances head. A push
+// that would grow the backing array first moves the live pages to the
+// front instead, when popped slots are at least an eighth of them: the
+// array grows only when it is nearly all live, and each move of n
+// pages frees n/8 or more slots, so both operations are O(1) amortized.
 type relQueue struct {
 	tag   int
 	prio  int
 	pages []int
+	head  int
+}
+
+// len returns the number of pages the queue holds.
+func (q *relQueue) len() int { return len(q.pages) - q.head }
+
+// pop removes and returns the oldest page.
+func (q *relQueue) pop() int {
+	p := q.pages[q.head]
+	q.head++
+	if q.head == len(q.pages) {
+		q.pages, q.head = q.pages[:0], 0
+	}
+	return p
+}
+
+// push appends a page.
+func (q *relQueue) push(p int) {
+	if q.head > 0 && len(q.pages) == cap(q.pages) && q.head >= q.len()/8 {
+		n := copy(q.pages, q.pages[q.head:])
+		q.pages, q.head = q.pages[:n], 0
+	}
+	q.pages = append(q.pages, p)
 }
 
 // relHint is a release hint held back by an injected delay.
@@ -232,7 +260,7 @@ func (l *Layer) drain(max int) (pages, prios []int) {
 	byPrio := map[int][]*relQueue{}
 	var levels []int
 	for _, q := range l.queues {
-		if len(q.pages) == 0 {
+		if q.len() == 0 {
 			continue
 		}
 		if len(byPrio[q.prio]) == 0 {
@@ -247,13 +275,11 @@ func (l *Layer) drain(max int) (pages, prios []int) {
 		for len(pages) < max {
 			progress := false
 			for _, q := range qs {
-				if len(q.pages) == 0 || len(pages) >= max {
+				if q.len() == 0 || len(pages) >= max {
 					continue
 				}
-				pages = append(pages, q.pages[0])
+				pages = append(pages, q.pop())
 				prios = append(prios, q.prio)
-				copy(q.pages, q.pages[1:])
-				q.pages = q.pages[:len(q.pages)-1]
 				progress = true
 			}
 			if !progress {
@@ -421,13 +447,12 @@ func (l *Layer) release1(tag int, prio int, page int64) {
 		q = &relQueue{tag: tag, prio: prio}
 		l.queues[tag] = q
 	}
-	if len(q.pages) >= l.cfg.MaxQueue {
+	if q.len() >= l.cfg.MaxQueue {
 		l.Stats.ReleaseOverflow++
-		l.ev.Emit(events.RTReleaseOverflow, l.p.Name, "", q.pages[0], 0, 0)
-		copy(q.pages, q.pages[1:])
-		q.pages = q.pages[:len(q.pages)-1]
+		dropped := q.pop()
+		l.ev.Emit(events.RTReleaseOverflow, l.p.Name, "", dropped, 0, 0)
 	}
-	q.pages = append(q.pages, p)
+	q.push(p)
 	l.Stats.ReleaseBuffered++
 	l.ev.Emit(events.RTReleaseBuffer, l.p.Name, "", p, int64(prio), 0)
 	if l.cfg.Mode != ModeReactive {
@@ -476,7 +501,7 @@ func (l *Layer) issueRelease(pages, prios []int) {
 func (l *Layer) BufferedPages() int {
 	n := 0
 	for _, q := range l.queues {
-		n += len(q.pages)
+		n += q.len()
 	}
 	return n
 }

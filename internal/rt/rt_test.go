@@ -1,8 +1,10 @@
 package rt
 
 import (
+	"fmt"
 	"testing"
 
+	"memhogs/internal/events"
 	"memhogs/internal/kernel"
 	"memhogs/internal/pdpm"
 	"memhogs/internal/sim"
@@ -342,5 +344,67 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 	}
 	if r.layer.BufferedPages() > 4 {
 		t.Fatalf("queue exceeded cap: %d", r.layer.BufferedPages())
+	}
+}
+
+// TestQueueOverflowThenDrain overflows one release queue, drains part
+// of it, refills it past its cap and drains everything, beside a
+// second, lower-priority queue. The pages that come out, the pages the
+// cap dropped and both overflow counts are those the layer has always
+// produced: a queue pop must change only what a pop costs.
+func TestQueueOverflowThenDrain(t *testing.T) {
+	cfg := kernel.TestConfig()
+	sys := kernel.NewSystem(cfg)
+	defer sys.Sim.Close()
+	rec := events.New(sys.Sim, 0)
+	sys.SetEvents(rec)
+	p := sys.NewProcess("app", 128)
+	pm := p.AttachPM(0)
+	rc := DefaultConfig(ModeBuffered)
+	rc.MaxQueue = 4
+	l := New(p, pm, rc)
+	var first, second []int
+	p.Start(true, func(th *kernel.Thread) {
+		l.Bind(th)
+		for vpn := 0; vpn < 24; vpn++ {
+			l.Touch(int64(vpn), false)
+		}
+		// The first request of a tag is only recorded, so releasing
+		// pages 0..9 buffers 0..8 into a queue of four.
+		for vpn := 0; vpn < 10; vpn++ {
+			l.Release(1, 2, int64(vpn))
+		}
+		first, _ = l.drain(2)
+		for vpn := 10; vpn < 15; vpn++ {
+			l.Release(1, 2, int64(vpn))
+		}
+		for vpn := 20; vpn < 23; vpn++ {
+			l.Release(2, 1, int64(vpn))
+		}
+		second, _ = l.drain(100)
+	})
+	sys.Run(0)
+
+	if got, want := fmt.Sprint(first), "[5 6]"; got != want {
+		t.Errorf("first drain = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(second), "[20 21 10 11 12 13]"; got != want {
+		t.Errorf("second drain = %s, want %s", got, want)
+	}
+	var dropped []int
+	for _, e := range rec.Events() {
+		if e.Kind == events.RTReleaseOverflow {
+			dropped = append(dropped, e.Page)
+		}
+	}
+	if got, want := fmt.Sprint(dropped), "[0 1 2 3 4 7 8 9]"; got != want {
+		t.Errorf("overflow dropped pages %s, want %s", got, want)
+	}
+	if l.Stats.ReleaseOverflow != 8 || rec.Counts()[events.RTReleaseOverflow] != 8 {
+		t.Errorf("ReleaseOverflow = %d, RTReleaseOverflow = %d, want 8 and 8",
+			l.Stats.ReleaseOverflow, rec.Counts()[events.RTReleaseOverflow])
+	}
+	if n := l.BufferedPages(); n != 0 {
+		t.Errorf("%d pages still buffered", n)
 	}
 }
