@@ -151,15 +151,6 @@ func genCertificates(_ string, _ compiler.Target) (map[string]string, error) {
 	return out, nil
 }
 
-// Tier-fixture certification options, mirrored by
-// internal/hogvet/tierfixtures_test.go: a 1200-page far tier (the far
-// share of a 3:1 split of the 4800-page allotment) behind the
-// kernel's default min-prio 1 demotion gate.
-const (
-	tierFixtureFarPages = 1200
-	tierFixtureMinPrio  = 1
-)
-
 // genTierFixtures regenerates the two-tier certification fixture
 // goldens: hand-written programs pinning HV014 (faroverflow), HV015
 // (thrash), and HV016 (deadthresh), one diagnostic listing each.
@@ -178,7 +169,7 @@ func genTierFixtures(root string, tgt compiler.Target) (map[string]string, error
 		if err != nil {
 			return nil, err
 		}
-		ds := hogvet.VetParamsFar(c, nil, tierFixtureFarPages, tierFixtureMinPrio)
+		ds := hogvet.VetParamsFar(c, nil, hogvet.TierFixtureFarPages, hogvet.TierFixtureMinPrio)
 		out["internal/hogvet/testdata/"+name+".golden"] = ds.String()
 	}
 	return out, nil

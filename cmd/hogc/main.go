@@ -55,18 +55,9 @@ func main() {
 		src = string(data)
 	}
 
-	var v memhogs.Version
-	switch *version {
-	case "O":
-		v = memhogs.Original
-	case "P":
-		v = memhogs.PrefetchOnly
-	case "R":
-		v = memhogs.Aggressive
-	case "B":
-		v = memhogs.Buffered
-	default:
-		fatal("unknown version %q (want O, P, R or B)", *version)
+	v, err := memhogs.ParseVersion(*version)
+	if err != nil {
+		fatal("%v", err)
 	}
 
 	machine := memhogs.DefaultMachine()

@@ -3,9 +3,10 @@
 //
 // Usage:
 //
-//	memhog table1|table2|table3|fig1|fig7|fig8|fig9|fig10a|fig10b|fig10c|locks
-//	memhog all                  # every table and figure, in paper order
-//	memhog verify               # check the paper's claims; exit 1 on failure
+//	memhog <experiment>...      # tables and figures by id (memhog -h lists them),
+//	                            # "all" (every one in paper order) and "verify"
+//	                            # (check the paper's claims; exit 1 on failure),
+//	                            # all from one pass of each campaign
 //	memhog run <benchmark>      # one benchmark, all four versions
 //	memhog listing <benchmark>  # transformed code with inserted hints
 //	memhog vet [benchmark...]   # static hint-safety diagnostics (default: all)
@@ -60,16 +61,15 @@ type app struct {
 // being documented.
 type command struct {
 	name  string
-	args  string // synopsis after the name, "" if none
+	args  string // synopsis after the name, "" if none; each <arg> is required
 	brief string // one-line description for the usage text
 	run   func(a *app)
 }
 
-// commands in usage order. Experiment ids (table1, fig7, locks, ...)
-// are not commands: anything not found here falls through to
-// campaign.Experiment.
+// commands in usage order. Experiment ids are not commands: a name
+// not found here is rendered, with every name after it, by render.
 var commands = []command{
-	{"all", "", "every table and figure, paper order", (*app).cmdAll},
+	{"all", "[experiment...]", "every table and figure, paper order", (*app).render},
 	{"run", "<bench>", "one benchmark in all four versions", (*app).cmdRun},
 	{"listing", "<bench>", "transformed code with inserted hints", (*app).cmdListing},
 	{"vet", "[bench...]", "static hint-safety diagnostics, exit 1 on errors", (*app).cmdVet},
@@ -82,7 +82,7 @@ var commands = []command{
 	{"tenants", "[bench...]", "NUMA-sharded node: hogs vs open-loop job stream, response-time tail", (*app).cmdTenants},
 	{"tiering", "[bench...]", "DRAM:far-tier sweep: releases as demotion hints across memory splits", (*app).cmdTiering},
 	{"duel", "<a> <b>", "two memory hogs sharing the machine", (*app).cmdDuel},
-	{"verify", "", "check the paper's claims, exit 1 on failure", (*app).cmdVerify},
+	{"verify", "[experiment...]", "check the paper's claims, exit 1 on failure", (*app).render},
 	{"list", "", "benchmark names", (*app).cmdList},
 }
 
@@ -121,20 +121,31 @@ func main() {
 		campaign: memhogs.Campaign{Quick: *quick, Workers: *workers, Progress: progress},
 	}
 
-	name := flag.Arg(0)
-	for i := range commands {
-		if commands[i].name == name {
-			commands[i].run(a)
-			return
+	run := (*app).render
+	for _, c := range commands {
+		if c.name == flag.Arg(0) {
+			if flag.NArg()-1 < strings.Count(c.args, "<") {
+				fatal("usage: memhog %s %s", c.name, c.args)
+			}
+			run = c.run
+			break
 		}
 	}
-	// Experiment ids (including extras like "locks" that are not part
-	// of the paper-order list).
-	out, err := a.campaign.Experiment(name)
+	run(a)
+}
+
+// render prints every argument — experiment ids, all and verify — from
+// one campaign session, as the commands one by one would print them,
+// and exits 1 if a verify claim failed. An unknown name fails before
+// anything runs.
+func (a *app) render() {
+	held, err := a.campaign.Render(os.Stdout, flag.Args()...)
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Println(out)
+	if !held {
+		exit(1)
+	}
 }
 
 func (a *app) cmdList() {
@@ -144,9 +155,6 @@ func (a *app) cmdList() {
 }
 
 func (a *app) cmdRun() {
-	if flag.NArg() < 2 {
-		fatal("run: need a benchmark name (see 'memhog list')")
-	}
 	name := flag.Arg(1)
 	var reports []*memhogs.Report
 	for _, v := range memhogs.Versions() {
@@ -161,11 +169,7 @@ func (a *app) cmdRun() {
 		}
 	}
 	if a.asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reports); err != nil {
-			fatal("%v", err)
-		}
+		printJSON(reports)
 	}
 }
 
@@ -203,9 +207,6 @@ func (a *app) cmdCertify() {
 }
 
 func (a *app) cmdListing() {
-	if flag.NArg() < 2 {
-		fatal("listing: need a benchmark name")
-	}
 	src, err := memhogs.BenchmarkSource(flag.Arg(1), a.machine)
 	if err != nil {
 		fatal("%v", err)
@@ -218,9 +219,6 @@ func (a *app) cmdListing() {
 }
 
 func (a *app) cmdDuel() {
-	if flag.NArg() < 3 {
-		fatal("duel: need two benchmark names")
-	}
 	out, err := memhogs.Duel(flag.Arg(1), flag.Arg(2), a.machine)
 	if err != nil {
 		fatal("%v", err)
@@ -229,9 +227,6 @@ func (a *app) cmdDuel() {
 }
 
 func (a *app) cmdSensitivity() {
-	if flag.NArg() < 2 {
-		fatal("sensitivity: need a benchmark name")
-	}
 	out, err := a.campaign.Sensitivity(flag.Arg(1))
 	if err != nil {
 		fatal("%v", err)
@@ -240,11 +235,7 @@ func (a *app) cmdSensitivity() {
 }
 
 func (a *app) cmdTenants() {
-	var benches []string
-	for i := 1; i < flag.NArg(); i++ {
-		benches = append(benches, flag.Arg(i))
-	}
-	out, err := a.campaign.Tenants(benches...)
+	out, err := a.campaign.Tenants(flag.Args()[1:]...)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -252,11 +243,7 @@ func (a *app) cmdTenants() {
 }
 
 func (a *app) cmdTiering() {
-	var benches []string
-	for i := 1; i < flag.NArg(); i++ {
-		benches = append(benches, flag.Arg(i))
-	}
-	out, err := a.campaign.Tiering(benches...)
+	out, err := a.campaign.Tiering(flag.Args()[1:]...)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -264,9 +251,6 @@ func (a *app) cmdTiering() {
 }
 
 func (a *app) cmdTimeline() {
-	if flag.NArg() < 2 {
-		fatal("timeline: need a benchmark name")
-	}
 	version := versionArg(2)
 	seconds := 20
 	if a.quick {
@@ -280,9 +264,6 @@ func (a *app) cmdTimeline() {
 }
 
 func (a *app) cmdTrace() {
-	if flag.NArg() < 2 {
-		fatal("trace: need a benchmark name")
-	}
 	version := versionArg(2)
 	tr, err := memhogs.Trace(flag.Arg(1), version, a.machine, 0, -1)
 	if err != nil {
@@ -303,9 +284,6 @@ func (a *app) cmdTrace() {
 }
 
 func (a *app) cmdChaos() {
-	if flag.NArg() < 2 {
-		fatal("chaos: need a benchmark name (see 'memhog list')")
-	}
 	rest := flag.Args()[2:]
 	version := memhogs.Buffered
 	if len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
@@ -330,11 +308,7 @@ func (a *app) cmdChaos() {
 		fatal("%v", err)
 	}
 	if a.asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal("%v", err)
-		}
+		printJSON(rep)
 	} else {
 		fmt.Print(rep)
 	}
@@ -351,23 +325,13 @@ func (a *app) cmdChaosMatrix() {
 	}
 }
 
-func (a *app) cmdVerify() {
-	out, ok, err := a.campaign.Verify()
-	if err != nil {
+// printJSON writes v to stdout as indented JSON.
+func printJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
 		fatal("%v", err)
 	}
-	fmt.Print(out)
-	if !ok {
-		exit(1)
-	}
-}
-
-func (a *app) cmdAll() {
-	out, err := a.campaign.All()
-	if err != nil {
-		fatal("%v", err)
-	}
-	fmt.Print(out)
 }
 
 // versionArg parses the optional version letter at argument position i
@@ -376,18 +340,11 @@ func versionArg(i int) memhogs.Version {
 	if flag.NArg() <= i {
 		return memhogs.Buffered
 	}
-	switch flag.Arg(i) {
-	case "O":
-		return memhogs.Original
-	case "P":
-		return memhogs.PrefetchOnly
-	case "R":
-		return memhogs.Aggressive
-	case "B":
-		return memhogs.Buffered
+	v, err := memhogs.ParseVersion(flag.Arg(i))
+	if err != nil {
+		fatal("%v", err)
 	}
-	fatal("unknown version %q (want O, P, R or B)", flag.Arg(i))
-	panic("unreachable")
+	return v
 }
 
 // usageText renders the help text from the command registry (the
@@ -396,7 +353,7 @@ func usageText() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "memhog — \"Taming the Memory Hogs\" (OSDI 2000) reproduction\n\n")
 	fmt.Fprintf(&b, "usage:\n")
-	fmt.Fprintf(&b, "  memhog [-quick] [-j N] <experiment>   one of: %v\n", memhogs.ExperimentIDs())
+	fmt.Fprintf(&b, "  memhog [-quick] [-j N] <experiment>...  any of: %v\n", memhogs.ExperimentIDs())
 	for _, c := range commands {
 		left := "memhog [-quick] " + c.name
 		if c.args != "" {

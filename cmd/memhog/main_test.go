@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
+
+	"memhogs"
 )
 
 // TestUsageListsEveryCommand pins the contract behind the registry:
@@ -54,19 +59,62 @@ func TestCommandNamesUnique(t *testing.T) {
 	}
 }
 
-// TestCPUProfile builds memhog and runs one command with and without
-// -cpuprofile: the profile file is written and non-empty, and stdout is
-// byte-identical.
-func TestCPUProfile(t *testing.T) {
+// TestUsageListsEveryExperiment: every catalogue id, the extras
+// included, appears in the -h output.
+func TestUsageListsEveryExperiment(t *testing.T) {
+	text := usageText()
+	for _, id := range memhogs.ExperimentIDs() {
+		if !regexp.MustCompile(`\b` + regexp.QuoteMeta(id) + `\b`).MatchString(text) {
+			t.Errorf("experiment %q missing from usage text:\n%s", id, text)
+		}
+	}
+	if !strings.Contains(text, "locks") {
+		t.Errorf("usage text leaves out the locks extra:\n%s", text)
+	}
+}
+
+var built struct {
+	once sync.Once
+	bin  string
+	err  error
+}
+
+// memhogBinary builds memhog once for the package's tests.
+func memhogBinary(t *testing.T) string {
+	t.Helper()
 	gobin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go command to build memhog with")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "memhog")
-	if out, err := exec.Command(gobin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	built.once.Do(func() {
+		dir, err := os.MkdirTemp("", "memhog-test")
+		if err != nil {
+			built.err = err
+			return
+		}
+		built.bin = filepath.Join(dir, "memhog")
+		if out, err := exec.Command(gobin, "build", "-o", built.bin, ".").CombinedOutput(); err != nil {
+			built.err = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if built.err != nil {
+		t.Fatal(built.err)
 	}
+	return built.bin
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if built.bin != "" {
+		os.RemoveAll(filepath.Dir(built.bin))
+	}
+	os.Exit(code)
+}
+
+// TestCPUProfile runs one command with and without -cpuprofile: the
+// profile file is written and non-empty, and stdout is byte-identical.
+func TestCPUProfile(t *testing.T) {
+	bin := memhogBinary(t)
 	run := func(flags ...string) []byte {
 		t.Helper()
 		args := append(flags, "-quick", "-quiet", "run", "cgm")
@@ -76,7 +124,7 @@ func TestCPUProfile(t *testing.T) {
 		}
 		return out
 	}
-	prof := filepath.Join(dir, "cpu.pprof")
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
 	plain, profiled := run(), run("-cpuprofile", prof)
 	if !bytes.Equal(plain, profiled) {
 		t.Errorf("stdout differs with -cpuprofile:\n%s\nvs\n%s", profiled, plain)
@@ -87,5 +135,57 @@ func TestCPUProfile(t *testing.T) {
 	}
 	if fi.Size() == 0 {
 		t.Fatal("profile is empty")
+	}
+}
+
+// TestSeveralNames: `memhog table1 table2` prints what `memhog table1`
+// and then `memhog table2` print, and a list with an unknown name in
+// it exits 1 before running a campaign: no output, no progress line.
+func TestSeveralNames(t *testing.T) {
+	bin := memhogBinary(t)
+	run := func(names ...string) []byte {
+		t.Helper()
+		out, err := exec.Command(bin, append([]string{"-quick", "-quiet"}, names...)...).Output()
+		if err != nil {
+			t.Fatalf("memhog %s: %v", strings.Join(names, " "), err)
+		}
+		return out
+	}
+	both := run("table1", "table2")
+	if want := append(run("table1"), run("table2")...); !bytes.Equal(both, want) {
+		t.Errorf("memhog table1 table2:\n%s\nwant the two single outputs:\n%s", both, want)
+	}
+	cmd := exec.Command(bin, "-quick", "fig7", "nosuch")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("memhog fig7 nosuch: %v, want exit status 1", err)
+	}
+	if len(out) != 0 || strings.Count(stderr.String(), "\n") != 1 {
+		t.Errorf("memhog fig7 nosuch ran before failing:\nstdout:\n%s\nstderr:\n%s", out, stderr.String())
+	}
+}
+
+// TestMissingArguments: a command run without an argument its synopsis
+// marks required (<arg>) exits 1 with its usage line.
+func TestMissingArguments(t *testing.T) {
+	bin := memhogBinary(t)
+	for _, c := range commands {
+		if !strings.Contains(c.args, "<") {
+			continue
+		}
+		cmd := exec.Command(bin, "-quick", c.name)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("memhog %s: %v, want exit status 1", c.name, err)
+		}
+		if want := "usage: memhog " + c.name + " " + c.args; !strings.Contains(stderr.String(), want) {
+			t.Errorf("memhog %s: stderr %q, want %q", c.name, stderr.String(), want)
+		}
 	}
 }

@@ -1,11 +1,15 @@
 package memhogs
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"memhogs/internal/experiments"
 )
 
 func TestDuelFacade(t *testing.T) {
@@ -104,23 +108,42 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerifyQuick renders "all" and "verify" in one quick call. Every
+// claim of the recorded full-scale check must be evaluated (the quick
+// campaign need not pass them all), and the progress lines must number
+// the cells of the three campaigns counted once: the two names share
+// one pass.
 func TestVerifyQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick campaign")
 	}
-	out, _, err := Campaign{Quick: true, Workers: 1}.Verify()
+	var out, progress bytes.Buffer
+	if _, err := (Campaign{Quick: true, Workers: 1, Progress: &progress}).Render(&out, "all", "verify"); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	if !strings.HasPrefix(text, "Table 1") || !strings.HasSuffix(text, "claims hold\n") {
+		t.Fatalf("all+verify output malformed:\n%s", text)
+	}
+	full, err := os.ReadFile("verify_full.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The quick campaign need not pass every full-scale claim, but it
-	// must render and evaluate them all.
-	if !strings.Contains(out, "claims hold") {
-		t.Fatalf("verify output malformed:\n%s", out)
+	ids := regexp.MustCompile(`(?m)^  \[(?:pass|FAIL)\] (\S+)`)
+	want := ids.FindAllStringSubmatch(string(full), -1)
+	if len(want) == 0 {
+		t.Fatal("no claims in verify_full.txt")
 	}
-	for _, id := range []string{"C1", "C3", "C7c", "C9a"} {
-		if !strings.Contains(out, id) {
-			t.Errorf("claim %s not evaluated", id)
+	for _, m := range want {
+		if !regexp.MustCompile(`(?m)^  \[(?:pass|FAIL)\] ` + regexp.QuoteMeta(m[1]) + ` `).MatchString(text) {
+			t.Errorf("claim %s not evaluated", m[1])
 		}
+	}
+	o := experiments.Quick()
+	grid := len(BenchmarkNames()) * len(experiments.Modes)
+	cells := grid + (1 + grid) + len(o.SleepTimes)*(1+len(experiments.Modes)) // versions, interactive, sweep
+	if n := strings.Count(progress.String(), "\n"); n != cells {
+		t.Errorf("%d progress lines, want %d: one per cell of each campaign, run once", n, cells)
 	}
 }
 

@@ -238,20 +238,3 @@ func RunCompiled(name string, comp *compiler.Compiled, cfg RunConfig) (*Result, 
 	}
 	return res, nil
 }
-
-// RunAllVersions runs the four program versions of one benchmark with
-// identical settings, mirroring the paper's O/P/R/B bars.
-func RunAllVersions(spec *workload.Spec, base RunConfig) (map[rt.Mode]*Result, error) {
-	out := map[rt.Mode]*Result{}
-	for _, mode := range []rt.Mode{rt.ModeOriginal, rt.ModePrefetch, rt.ModeAggressive, rt.ModeBuffered} {
-		cfg := base
-		cfg.Mode = mode
-		cfg.RT = rt.DefaultConfig(mode)
-		r, err := Run(spec, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[mode] = r
-	}
-	return out, nil
-}

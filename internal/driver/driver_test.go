@@ -9,11 +9,28 @@ import (
 	"memhogs/internal/workload"
 )
 
+// runAllVersions runs the four program versions of one benchmark with
+// identical settings, mirroring the paper's O/P/R/B bars.
+func runAllVersions(spec *workload.Spec, base RunConfig) (map[rt.Mode]*Result, error) {
+	out := map[rt.Mode]*Result{}
+	for _, mode := range []rt.Mode{rt.ModeOriginal, rt.ModePrefetch, rt.ModeAggressive, rt.ModeBuffered} {
+		cfg := base
+		cfg.Mode = mode
+		cfg.RT = rt.DefaultConfig(mode)
+		r, err := Run(spec, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out[mode] = r
+	}
+	return out, nil
+}
+
 func TestAllScaledBenchmarksRunAllVersions(t *testing.T) {
 	for _, spec := range workload.AllScaled() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			results, err := RunAllVersions(spec, TestRunConfig(rt.ModeOriginal))
+			results, err := runAllVersions(spec, TestRunConfig(rt.ModeOriginal))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +81,7 @@ func TestAllScaledBenchmarksRunAllVersions(t *testing.T) {
 
 func TestMatvecPrefetchHidesMostStall(t *testing.T) {
 	spec := workload.MatvecScaled()
-	results, err := RunAllVersions(spec, TestRunConfig(rt.ModeOriginal))
+	results, err := runAllVersions(spec, TestRunConfig(rt.ModeOriginal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +100,7 @@ func TestMatvecPrefetchHidesMostStall(t *testing.T) {
 
 func TestReleasingReducesDaemonSoftFaults(t *testing.T) {
 	spec := workload.EmbarScaled()
-	results, err := RunAllVersions(spec, TestRunConfig(rt.ModeOriginal))
+	results, err := runAllVersions(spec, TestRunConfig(rt.ModeOriginal))
 	if err != nil {
 		t.Fatal(err)
 	}

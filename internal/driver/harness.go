@@ -34,6 +34,12 @@ func (cfg *RunConfig) validate() error {
 	if cfg.RT.Mode != cfg.Mode {
 		return fmt.Errorf("driver: RT.Mode %v does not match Mode %v", cfg.RT.Mode, cfg.Mode)
 	}
+	names := []string{"Workers", "ReleaseBatch", "MaxQueue", "MaxPfQueue"}
+	for i, v := range []int{cfg.RT.Workers, cfg.RT.ReleaseBatch, cfg.RT.MaxQueue, cfg.RT.MaxPfQueue} {
+		if v <= 0 {
+			return fmt.Errorf("driver: RT.%s = %d, want a positive value", names[i], v)
+		}
+	}
 	return nil
 }
 

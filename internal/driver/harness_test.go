@@ -70,6 +70,30 @@ func TestRejectsConfigsEntryPointsCannotHonour(t *testing.T) {
 			_, _, err := RunPair(spec, spec, cfg)
 			return err
 		}},
+		{"Run RT.Workers 0", "RT.Workers", func() error {
+			cfg := TestRunConfig(rt.ModeBuffered)
+			cfg.RT.Workers = 0
+			_, err := Run(spec, cfg)
+			return err
+		}},
+		{"Run RT.ReleaseBatch 0", "RT.ReleaseBatch", func() error {
+			cfg := TestRunConfig(rt.ModeBuffered)
+			cfg.RT.ReleaseBatch = 0
+			_, err := Run(spec, cfg)
+			return err
+		}},
+		{"Run RT.MaxQueue negative", "RT.MaxQueue", func() error {
+			cfg := TestRunConfig(rt.ModeBuffered)
+			cfg.RT.MaxQueue = -1
+			_, err := Run(spec, cfg)
+			return err
+		}},
+		{"Run RT.MaxPfQueue 0", "RT.MaxPfQueue", func() error {
+			cfg := TestRunConfig(rt.ModeBuffered)
+			cfg.RT.MaxPfQueue = 0
+			_, err := Run(spec, cfg)
+			return err
+		}},
 		{"RunTenants RT.Mode mismatch", "RT.Mode", func() error {
 			cfg := testTenantConfig()
 			cfg.RT = rt.DefaultConfig(rt.ModeBuffered)

@@ -4,18 +4,10 @@
 // same runs) and a formatter that renders the paper's table or figure
 // as text.
 //
-// Experiment index:
-//
-//	Table 1   — hardware characteristics            (Table1)
-//	Table 2   — benchmark characteristics           (Table2)
-//	Figure 1  — interactive response vs sleep, O/P  (Fig1, from Sweep)
-//	Figure 7  — execution-time breakdown O/P/R/B    (Fig7, from Versions)
-//	Figure 8  — soft faults from invalidations      (Fig8, from Versions)
-//	Table 3   — paging-daemon activity              (Table3, from Versions)
-//	Figure 9  — outcomes of freed pages             (Fig9, from Versions)
-//	Figure 10a — interactive response vs sleep      (Fig10a, from Sweep)
-//	Figure 10b — normalized response, all benches   (Fig10b, from Interactive)
-//	Figure 10c — interactive hard faults per sweep  (Fig10c, from Interactive)
+// The experiment index is the catalogue in catalogue.go: each id, the
+// campaign it reads and its renderer, in paper order. A Session
+// renders any list of ids, "all" and "verify" from one run of each
+// campaign.
 package experiments
 
 import (

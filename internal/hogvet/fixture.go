@@ -17,6 +17,15 @@ func VetParams(c *compiler.Compiled, params map[string]int64) Diagnostics {
 	return VetSchedule(c.Prog, c.Target, c.Hints(), opts)
 }
 
+// Tier-fixture certification options, shared by the tier fixtures'
+// tests and cmd/gen-golden: a 1200-page far tier (the far share of a
+// 3:1 split of the 4800-page test allotment) behind the kernel's
+// default min-prio 1 demotion gate.
+const (
+	TierFixtureFarPages = 1200
+	TierFixtureMinPrio  = 1
+)
+
 // VetParamsFar is VetParams with the two-tier certificate checks
 // enabled (HV014–HV016): farPages sizes the modeled far-memory tier
 // and farMinPrio mirrors the kernel's demotion gate

@@ -9,15 +9,6 @@ import (
 	"memhogs/internal/hogvet"
 )
 
-// Tier-fixture certification options: a 1200-page far tier (the far
-// share of a 3:1 split of the 4800-page test allotment) behind the
-// kernel's default min-prio 1 demotion gate. cmd/gen-golden certifies
-// with the same values when regenerating the goldens.
-const (
-	tierFixtureFarPages = 1200
-	tierFixtureMinPrio  = 1
-)
-
 // tierFixture compiles one two-tier certification fixture and runs
 // the verifier with the far-tier checks enabled.
 func tierFixture(t *testing.T, name string) hogvet.Diagnostics {
@@ -26,7 +17,7 @@ func tierFixture(t *testing.T, name string) hogvet.Diagnostics {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hogvet.VetParamsFar(compileSrc(t, string(src)), nil, tierFixtureFarPages, tierFixtureMinPrio)
+	return hogvet.VetParamsFar(compileSrc(t, string(src)), nil, hogvet.TierFixtureFarPages, hogvet.TierFixtureMinPrio)
 }
 
 // TestTierFixtureGoldens locks the diagnostic listings of the three
@@ -108,7 +99,7 @@ func TestDeadThresholdDemotesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := hogvet.VetParamsFar(compileSrc(t, string(src)), nil, tierFixtureFarPages, 0)
+	ds := hogvet.VetParamsFar(compileSrc(t, string(src)), nil, hogvet.TierFixtureFarPages, 0)
 	found := false
 	for _, d := range ds {
 		if d.Code == "HV016" {

@@ -124,39 +124,47 @@ type workItem struct {
 	prios []int // eq. 2 reuse priority of each released page
 }
 
-// relQueue buffers releases for one tag (Figure 6(b)), oldest first:
-// the live pages are pages[head:]. A pop only advances head. A push
-// that would grow the backing array first moves the live pages to the
-// front instead, when popped slots are at least an eighth of them: the
-// array grows only when it is nearly all live, and each move of n
-// pages frees n/8 or more slots, so both operations are O(1) amortized.
-type relQueue struct {
-	tag   int
-	prio  int
-	pages []int
+// fifo is a first-in first-out queue: the live items are
+// items[head:]. A pop only advances head and clears the popped slot. A
+// push that would grow the backing array first moves the live items to
+// the front instead, when popped slots are at least an eighth of them:
+// the array grows only when it is nearly all live, and each move of n
+// items frees n/8 or more slots, so both operations are O(1) amortized.
+type fifo[T any] struct {
+	items []T
 	head  int
 }
 
-// len returns the number of pages the queue holds.
-func (q *relQueue) len() int { return len(q.pages) - q.head }
+// len returns the number of items the queue holds.
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
 
-// pop removes and returns the oldest page.
-func (q *relQueue) pop() int {
-	p := q.pages[q.head]
+// pop removes and returns the oldest item.
+func (q *fifo[T]) pop() T {
+	var zero T
+	it := q.items[q.head]
+	q.items[q.head] = zero
 	q.head++
-	if q.head == len(q.pages) {
-		q.pages, q.head = q.pages[:0], 0
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
 	}
-	return p
+	return it
 }
 
-// push appends a page.
-func (q *relQueue) push(p int) {
-	if q.head > 0 && len(q.pages) == cap(q.pages) && q.head >= q.len()/8 {
-		n := copy(q.pages, q.pages[q.head:])
-		q.pages, q.head = q.pages[:n], 0
+// push appends an item.
+func (q *fifo[T]) push(it T) {
+	if q.head > 0 && len(q.items) == cap(q.items) && q.head >= q.len()/8 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
-	q.pages = append(q.pages, p)
+	q.items = append(q.items, it)
+}
+
+// relQueue buffers releases for one tag (Figure 6(b)), oldest first.
+type relQueue struct {
+	tag  int
+	prio int
+	fifo[int]
 }
 
 // relHint is a release hint held back by an injected delay.
@@ -191,7 +199,7 @@ type Layer struct {
 	chaos     *chaos.Injector
 	lateHints []relHint
 
-	work     []workItem
+	work     fifo[workItem]
 	workWait *sim.Waitq
 
 	userCarry float64
@@ -203,18 +211,6 @@ var _ compiler.Hints = (*Layer)(nil)
 // New creates the run-time layer for process p. pm may be nil only in
 // ModeOriginal. Worker threads are spawned for all hinted modes.
 func New(p *kernel.Process, pm *pdpm.PM, cfg Config) *Layer {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
-	if cfg.ReleaseBatch <= 0 {
-		cfg.ReleaseBatch = 100
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 1 << 17
-	}
-	if cfg.MaxPfQueue <= 0 {
-		cfg.MaxPfQueue = 1 << 14
-	}
 	if cfg.Headroom < 0 {
 		cfg.Headroom = 0
 	}
@@ -355,14 +351,14 @@ func (l *Layer) prefetch1(pg int64) {
 		l.ev.Emit(events.RTPrefetchFilter, l.p.Name, "", p, 0, 0)
 		return
 	}
-	if len(l.work) >= l.cfg.MaxPfQueue {
+	if l.work.len() >= l.cfg.MaxPfQueue {
 		l.Stats.PrefetchDropped++
 		l.ev.Emit(events.RTPrefetchDrop, l.p.Name, "", p, 0, 0)
 		return
 	}
 	l.Stats.PrefetchIssued++
 	l.ev.Emit(events.RTPrefetchIssue, l.p.Name, "", p, 0, 0)
-	l.work = append(l.work, workItem{kind: workPf, page: p})
+	l.work.push(workItem{kind: workPf, page: p})
 	l.workWait.WakeOne()
 }
 
@@ -492,7 +488,7 @@ func (l *Layer) checkPressureForced() {
 func (l *Layer) issueRelease(pages, prios []int) {
 	l.Stats.ReleaseIssued += int64(len(pages))
 	l.ev.Emit(events.RTReleaseIssue, l.p.Name, "", -1, int64(len(pages)), 0)
-	l.work = append(l.work, workItem{kind: workRel, pages: pages, prios: prios})
+	l.work.push(workItem{kind: workRel, pages: pages, prios: prios})
 	l.workWait.WakeOne()
 }
 
@@ -520,12 +516,10 @@ func (l *Layer) Flush() {
 // worker is the body of one prefetch/release thread.
 func (l *Layer) worker(t *kernel.Thread) {
 	for {
-		for len(l.work) == 0 {
+		for l.work.len() == 0 {
 			l.workWait.Wait(t.Proc())
 		}
-		item := l.work[0]
-		copy(l.work, l.work[1:])
-		l.work = l.work[:len(l.work)-1]
+		item := l.work.pop()
 		switch item.kind {
 		case workPf:
 			l.pm.Prefetch(t.Exec(), item.page)

@@ -80,6 +80,16 @@ func (v Version) mode() rt.Mode {
 // Versions lists all four program versions in the paper's order.
 func Versions() []Version { return []Version{Original, PrefetchOnly, Aggressive, Buffered} }
 
+// ParseVersion returns the version whose one-letter name is s.
+func ParseVersion(s string) (Version, error) {
+	for _, v := range Versions() {
+		if v.String() == s {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown version %q (want O, P, R or B)", s)
+}
+
 // Machine describes the simulated platform.
 type Machine struct {
 	CPUs       int
@@ -470,75 +480,28 @@ type Campaign struct {
 	Progress io.Writer
 }
 
-func (c Campaign) opts() experiments.Opts {
+// opts is the campaign's configuration over benches (none = all six).
+func (c Campaign) opts(benches ...string) experiments.Opts {
 	o := experiments.Default()
 	if c.Quick {
 		o = experiments.Quick()
 	}
 	o.Workers = c.Workers
 	o.Progress = c.Progress
+	o.Benches = benches
 	return o
 }
 
-// Experiment regenerates one of the paper's tables or figures and
-// returns the rendered text. Valid ids: table1, table2, table3, fig1,
-// fig7, fig8, fig9, fig10a, fig10b, fig10c, locks.
+// Experiment regenerates one of the paper's tables or figures, or an
+// extra such as "locks", and returns the rendered text. ExperimentIDs
+// lists the valid ids.
 func (c Campaign) Experiment(id string) (string, error) {
-	o := c.opts()
-	switch id {
-	case "table1":
-		return experiments.Table1(o).String(), nil
-	case "table2":
-		t, err := experiments.Table2(o)
-		if err != nil {
-			return "", err
-		}
-		return t.String(), nil
-	case "fig7", "fig8", "fig9", "table3", "locks":
-		v, err := experiments.RunVersions(o)
-		if err != nil {
-			return "", err
-		}
-		switch id {
-		case "fig7":
-			return experiments.Fig7(v), nil
-		case "fig8":
-			return experiments.Fig8(v).String(), nil
-		case "fig9":
-			return experiments.Fig9(v).String(), nil
-		case "locks":
-			return experiments.LockTable(v).String(), nil
-		default:
-			return experiments.Table3(v).String(), nil
-		}
-	case "fig1", "fig10a":
-		s, err := experiments.RunSweep(o)
-		if err != nil {
-			return "", err
-		}
-		if id == "fig1" {
-			return experiments.Fig1(s).String(), nil
-		}
-		return experiments.Fig10a(s).String(), nil
-	case "fig10b", "fig10c":
-		d, err := experiments.RunInteractive(o)
-		if err != nil {
-			return "", err
-		}
-		if id == "fig10b" {
-			return experiments.Fig10b(d).String(), nil
-		}
-		return experiments.Fig10c(d).String(), nil
-	default:
-		return "", fmt.Errorf("memhogs: unknown experiment %q", id)
-	}
+	return experiments.NewSession(c.opts()).Experiment(id)
 }
 
-// ExperimentIDs lists the reproducible tables and figures in paper
-// order.
-func ExperimentIDs() []string {
-	return []string{"table1", "table2", "fig1", "fig7", "fig8", "table3", "fig9", "fig10a", "fig10b", "fig10c"}
-}
+// ExperimentIDs lists every experiment id: the paper's tables and
+// figures in paper order, then the extras.
+func ExperimentIDs() []string { return experiments.IDs() }
 
 // Duel runs two out-of-core benchmarks concurrently in each program
 // version — the multiprogrammed scenario the paper's introduction
@@ -590,11 +553,7 @@ func (c Campaign) Sensitivity(bench string) (string, error) {
 // allocation split and balancer traffic that produced it. benches
 // filters the hog benchmark set (none = all six).
 func (c Campaign) Tenants(benches ...string) (string, error) {
-	o := c.opts()
-	if len(benches) > 0 {
-		o.Benches = benches
-	}
-	m, err := experiments.RunMultiTenant(o)
+	m, err := experiments.RunMultiTenant(c.opts(benches...))
 	if err != nil {
 		return "", err
 	}
@@ -609,11 +568,7 @@ func (c Campaign) Tenants(benches ...string) (string, error) {
 // version, and split — the figure the paper's 2000 hardware could not
 // draw. benches filters the benchmark set (none = all six).
 func (c Campaign) Tiering(benches ...string) (string, error) {
-	o := c.opts()
-	if len(benches) > 0 {
-		o.Benches = benches
-	}
-	d, err := experiments.RunTiering(o)
+	d, err := experiments.RunTiering(c.opts(benches...))
 	if err != nil {
 		return "", err
 	}
@@ -855,25 +810,7 @@ func (c Campaign) ChaosMatrix(seed uint64) (string, error) {
 // headline claims against the reproduction, returning the rendered
 // claim table and whether every claim held.
 func (c Campaign) Verify() (string, bool, error) {
-	o := c.opts()
-	v, err := experiments.RunVersions(o)
-	if err != nil {
-		return "", false, err
-	}
-	d, err := experiments.RunInteractive(o)
-	if err != nil {
-		return "", false, err
-	}
-	s, err := experiments.RunSweep(o)
-	if err != nil {
-		return "", false, err
-	}
-	claims := experiments.CheckClaims(v, d, s)
-	all := true
-	for _, c := range claims {
-		all = all && c.Pass
-	}
-	return experiments.FormatClaims(claims), all, nil
+	return experiments.NewSession(c.opts()).Verify()
 }
 
 // All regenerates every table and figure in paper order, sharing the
@@ -882,40 +819,14 @@ func (c Campaign) Verify() (string, bool, error) {
 // 10(a) share the sleep sweep; Figures 10(b) and 10(c) share the
 // interactive campaign).
 func (c Campaign) All() (string, error) {
-	o := c.opts()
+	return experiments.NewSession(c.opts()).All()
+}
 
-	var b strings.Builder
-	emit := func(s string) { b.WriteString(s); b.WriteString("\n") }
-
-	emit(experiments.Table1(o).String())
-	t2, err := experiments.Table2(o)
-	if err != nil {
-		return "", err
-	}
-	emit(t2.String())
-
-	sweep, err := experiments.RunSweep(o)
-	if err != nil {
-		return "", err
-	}
-	emit(experiments.Fig1(sweep).String())
-
-	versions, err := experiments.RunVersions(o)
-	if err != nil {
-		return "", err
-	}
-	emit(experiments.Fig7(versions))
-	emit(experiments.Fig8(versions).String())
-	emit(experiments.Table3(versions).String())
-	emit(experiments.Fig9(versions).String())
-
-	emit(experiments.Fig10a(sweep).String())
-
-	inter, err := experiments.RunInteractive(o)
-	if err != nil {
-		return "", err
-	}
-	emit(experiments.Fig10b(inter).String())
-	emit(experiments.Fig10c(inter).String())
-	return b.String(), nil
+// Render writes, for each name in turn, what Experiment returns plus a
+// newline for an experiment id, what All returns for "all" and what
+// Verify returns for "verify", running each campaign at most once for
+// the whole list. It checks every name before running anything, and
+// reports whether every claim of every "verify" held.
+func (c Campaign) Render(w io.Writer, names ...string) (bool, error) {
+	return experiments.NewSession(c.opts()).Render(w, names)
 }

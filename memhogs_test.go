@@ -133,6 +133,12 @@ func TestVersionStrings(t *testing.T) {
 		if v.String() != s {
 			t.Errorf("%d.String() = %q, want %q", v, v.String(), s)
 		}
+		if back, err := ParseVersion(s); err != nil || back != v {
+			t.Errorf("ParseVersion(%q) = %v, %v, want %v", s, back, err, v)
+		}
+	}
+	if _, err := ParseVersion("V"); err == nil {
+		t.Error("ParseVersion accepted V")
 	}
 }
 
