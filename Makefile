@@ -118,23 +118,26 @@ golden:
 	go run ./cmd/gen-golden
 
 # Flight-recorder smoke test: the Chrome trace export must be valid
-# JSON, and it and the merged -log text must be byte-identical at any
-# worker-pool setting.
+# JSON, and it and the merged -log text must be byte-identical across
+# two runs (run-to-run determinism; trace runs one simulation and reads
+# no -j).
 trace: build
-	@go run ./cmd/memhog -quick -quiet -j 1 trace matvec B > /tmp/memhog-trace-j1.json
-	@go run ./cmd/memhog -quick -quiet -j 4 trace matvec B > /tmp/memhog-trace-j4.json
-	@cmp /tmp/memhog-trace-j1.json /tmp/memhog-trace-j4.json
-	@python3 -m json.tool /tmp/memhog-trace-j1.json > /dev/null
-	@go run ./cmd/memhog -quick -quiet -log -j 1 trace matvec B > /tmp/memhog-trace-j1.log
-	@go run ./cmd/memhog -quick -quiet -log -j 4 trace matvec B > /tmp/memhog-trace-j4.log
-	@cmp /tmp/memhog-trace-j1.log /tmp/memhog-trace-j4.log
-	@echo "trace: deterministic, valid JSON ($$(wc -c < /tmp/memhog-trace-j1.json) bytes), log deterministic ($$(wc -l < /tmp/memhog-trace-j1.log) lines)"
+	@go run ./cmd/memhog -quick -quiet trace matvec B > /tmp/memhog-trace-a.json
+	@go run ./cmd/memhog -quick -quiet trace matvec B > /tmp/memhog-trace-b.json
+	@cmp /tmp/memhog-trace-a.json /tmp/memhog-trace-b.json
+	@python3 -m json.tool /tmp/memhog-trace-a.json > /dev/null
+	@go run ./cmd/memhog -quick -quiet -log trace matvec B > /tmp/memhog-trace-a.log
+	@go run ./cmd/memhog -quick -quiet -log trace matvec B > /tmp/memhog-trace-b.log
+	@cmp /tmp/memhog-trace-a.log /tmp/memhog-trace-b.log
+	@echo "trace: deterministic, valid JSON ($$(wc -c < /tmp/memhog-trace-a.json) bytes), log deterministic ($$(wc -l < /tmp/memhog-trace-a.log) lines)"
 
 # Fault injection: the chaos property harness and the quick chaos
 # matrix (benchmarks × versions × fault classes, continuously audited)
 # under the race detector, plus byte-identical replay checks of one
-# default-plan run, one explicit multi-class plan, and the far class
-# (far-tier faults, including hot-unplug of far slots).
+# default-plan run, one explicit multi-class plan, and the far class.
+# Every chaos run is built by experiments.ChaosConfig, so the default
+# plan (`all`) and the far class both arm far-tier sites and run on a
+# DRAM:far 3:1 split of the machine.
 chaos: build
 	go test -race -run 'TestChaos|TestMetamorphic' ./internal/chaostest/ ./internal/experiments/
 	@go run ./cmd/memhog -quick -quiet -json chaos matvec B -seed 7 > /tmp/memhog-chaos-a.json

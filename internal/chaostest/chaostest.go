@@ -11,30 +11,17 @@ import (
 
 	"memhogs/internal/chaos"
 	"memhogs/internal/driver"
+	"memhogs/internal/experiments"
 	"memhogs/internal/rt"
 	"memhogs/internal/sim"
 	"memhogs/internal/workload"
 )
 
-// AuditEvery is the harness's continuous-audit cadence; small enough
-// that a corrupting fault is caught within a few events of its cause.
-const AuditEvery = 5 * sim.Millisecond
-
-// Horizon bounds each harness run. The slowest scaled benchmark needs
-// a few virtual seconds clean; this leaves a wide margin for fault-
-// induced slowdown while still failing fast on a genuine wedge.
-const Horizon = 120 * sim.Second
-
-// Config returns the harness RunConfig for one benchmark version
-// under plan: scaled machine, run to completion, auditing on the
-// cadence and after every fault.
-func Config(mode rt.Mode, plan *chaos.Plan) driver.RunConfig {
-	cfg := driver.TestRunConfig(mode)
-	cfg.Horizon = Horizon
-	cfg.Chaos = plan
-	cfg.AuditEvery = AuditEvery
-	cfg.AuditOnFault = true
-	return cfg
+// Config returns the harness RunConfig for one scaled benchmark
+// version under plan: experiments.ChaosConfig on the scaled machine,
+// the run memhog -quick chaos replays.
+func Config(mode rt.Mode, plan chaos.Plan) driver.RunConfig {
+	return experiments.ChaosConfig(driver.TestRunConfig(mode), plan, true)
 }
 
 // RunPlan executes one scaled benchmark version under plan.
@@ -43,7 +30,7 @@ func RunPlan(bench string, mode rt.Mode, plan chaos.Plan) (*driver.Result, error
 	if err != nil {
 		return nil, err
 	}
-	return driver.Run(spec, Config(mode, &plan))
+	return driver.Run(spec, Config(mode, plan))
 }
 
 // Check runs the plan and enforces the harness properties: every
@@ -56,7 +43,7 @@ func Check(bench string, mode rt.Mode, plan chaos.Plan) error {
 	}
 	if !res.Done {
 		return fmt.Errorf("%s/%s did not complete within %v under %d injected faults",
-			bench, mode, Horizon, res.Chaos.Total())
+			bench, mode, Config(mode, plan).Horizon, res.Chaos.Total())
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"memhogs"
 	"memhogs/internal/chaos"
 	"memhogs/internal/driver"
 	"memhogs/internal/events"
@@ -38,6 +39,52 @@ func TestChaosInvariants(t *testing.T) {
 					bench, mode, seed, err, min, Repro(bench, mode, min))
 			}
 		})
+	}
+}
+
+// TestChaosReplayMatchesHarness checks the replay contract of Repro: a
+// harness cell replayed through memhogs.Chaos with the options memhog
+// chaos passes runs the same simulation. cgm/O seed 94 arms far-drop,
+// so both runs need the same far tier; cgm/P seed 95 names no far site.
+func TestChaosReplayMatchesHarness(t *testing.T) {
+	for _, c := range []struct {
+		mode rt.Mode
+		seed uint64
+		far  bool
+	}{{rt.ModeOriginal, 94, true}, {rt.ModePrefetch, 95, false}} {
+		plan := RandomPlan(c.seed)
+		if plan.TargetsFar() != c.far {
+			t.Fatalf("seed %d: plan %s, want TargetsFar() = %v", c.seed, plan, c.far)
+		}
+		res, err := RunPlan("cgm", c.mode, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := memhogs.ParseVersion(c.mode.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := memhogs.Chaos("cgm", v, memhogs.TestMachine(), memhogs.ChaosOptions{
+			Seed:               plan.Seed,
+			Faults:             plan.FaultsString(),
+			InteractiveSleepMS: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := Repro("cgm", c.mode, plan)
+		if got, want := rep.ElapsedSeconds, res.Elapsed.Seconds(); got != want {
+			t.Errorf("%s: replay elapsed %v s, harness %v s", name, got, want)
+		}
+		if got, want := rep.HardFaults, res.VM.HardFaults; got != want {
+			t.Errorf("%s: replay took %d hard faults, harness %d", name, got, want)
+		}
+		if got, want := rep.Injected, res.Chaos.Map(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: replay injected %v, harness %v", name, got, want)
+		}
+		if got, want := rep.AuditTicks, res.AuditTicks; got != want {
+			t.Errorf("%s: replay audited %d times, harness %d", name, got, want)
+		}
 	}
 }
 
@@ -92,7 +139,7 @@ func tracedRun(t *testing.T, bench string, mode rt.Mode, mutate func(*driver.Run
 		t.Fatal(err)
 	}
 	var rec *events.Recorder
-	cfg := Config(mode, nil)
+	cfg := Config(mode, chaos.Plan{})
 	cfg.Chaos = nil
 	cfg.OnSystem = func(sys *kernel.System) {
 		rec = events.New(sys.Sim, 1<<17)

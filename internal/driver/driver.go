@@ -59,18 +59,15 @@ type RunConfig struct {
 
 	// Chaos, if non-nil, runs the experiment under the given fault
 	// plan: an injector seeded from the plan is installed on every
-	// layer before any process starts, and timed faults (memory
-	// hot-unplug) are scheduled on the sim clock.
+	// layer before any process starts, timed faults (memory
+	// hot-unplug) are scheduled on the sim clock, and the whole
+	// machine is audited after every injected fault.
 	Chaos *chaos.Plan
 
 	// AuditEvery, if positive, runs kernel.Audit on that virtual-time
 	// cadence; the run fails with the audit error if any tick finds an
 	// inconsistency.
 	AuditEvery sim.Time
-
-	// AuditOnFault additionally audits immediately after every
-	// injected fault (requires Chaos).
-	AuditOnFault bool
 }
 
 // DefaultRunConfig returns a full-platform configuration for one

@@ -107,9 +107,7 @@ func boot(cfg RunConfig) *harness {
 			// half the tier as a floor keeps demotions meaningful.
 			h.inj.ScheduleFar(sys.Far, cfg.Kernel.Far.Pages/2)
 		}
-		if cfg.AuditOnFault {
-			h.inj.OnFault = func(chaos.Site) { h.audit() }
-		}
+		h.inj.OnFault = func(chaos.Site) { h.audit() }
 	}
 	if every := cfg.AuditEvery; every > 0 {
 		var tick func()

@@ -125,7 +125,6 @@ func TestRunTenantsAuditUnderNodeScopedUnplug(t *testing.T) {
 	cfg := testTenantConfig()
 	cfg.Chaos = &plan
 	cfg.AuditEvery = 50 * sim.Millisecond
-	cfg.AuditOnFault = true
 	res, err := RunTenants(spec, cfg)
 	if err != nil {
 		t.Fatal(err)

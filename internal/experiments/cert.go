@@ -6,7 +6,6 @@ import (
 
 	"memhogs/internal/compiler"
 	"memhogs/internal/driver"
-	"memhogs/internal/events"
 	"memhogs/internal/footprint"
 	"memhogs/internal/hogvet"
 	"memhogs/internal/kernel"
@@ -105,8 +104,8 @@ type CertCell struct {
 	Clamped         bool
 	FarBoundPages   int64 // interpreted far-tier bound (-1 unresolved)
 	FarCertified    int64 // far bound clamped at the tier size
-	ObservedPeak    int64 // flight-recorded peak resident (DRAM) pages
-	ObservedFarPeak int64 // flight-recorded peak far-tier pages
+	ObservedPeak    int64 // observed peak resident (DRAM) pages
+	ObservedFarPeak int64 // observed peak far-tier pages
 
 	SoundDRAM     bool // ObservedPeak ≤ CertifiedPages
 	SoundFar      bool // ObservedFarPeak ≤ FarCertified
@@ -116,17 +115,17 @@ type CertCell struct {
 }
 
 // CertCrossValidation is the dataset behind the residency-certificate
-// validation: every benchmark × mode × DRAM:far ratio cell, run under
-// the flight recorder, next to its DRAM and far-tier certificates.
+// validation: every benchmark × mode × DRAM:far ratio cell, run once,
+// next to its DRAM and far-tier certificates.
 type CertCrossValidation struct {
 	Opts Opts
 	Rows []CertCell // spec-major, mode-middle, ratio-minor
 }
 
 // RunCertCrossValidation certifies every benchmark × mode × DRAM:far
-// ratio cell statically against the split budget and runs it once
-// with the flight recorder installed, comparing both tiers' observed
-// peaks against their certificates. The cells run on the campaign
+// ratio cell statically against the split budget and runs it once,
+// comparing both tiers' observed peaks (the VM's PeakResident and
+// PeakFarResident) against their certificates. The cells run on the campaign
 // worker pool, so the rows are identical at any worker count.
 func RunCertCrossValidation(o Opts) (*CertCrossValidation, error) {
 	specs, err := o.specs()
@@ -141,9 +140,6 @@ func RunCertCrossValidation(o Opts) (*CertCrossValidation, error) {
 			// The certificate interprets the same compilation the run
 			// executes, against the same split budget.
 			cfg := o.tieringConfig(c.mode, c.ratio, cache)
-			cfg.OnSystem = func(sys *kernel.System) {
-				sys.SetEvents(events.New(sys.Sim, 1<<16))
-			}
 			dram, far := cfg.Kernel.UserMemPages, cfg.Kernel.Far.Pages
 			tgt := driver.Target(cfg.Kernel, c.mode)
 			comp, err := cache.Compile(c.spec, nil, tgt)

@@ -9,12 +9,6 @@ import (
 	"memhogs/internal/rt"
 )
 
-// TestCertCrossValidation is the hogflow acceptance check: in every
-// benchmark × mode × DRAM:far ratio cell, the flight-recorded peaks of
-// both tiers must stay at or below their certificates, and the grid
-// must meet every contract Validate states (empty far tiers for the
-// non-releasing versions, HV014 agreement, 1:0 tightness on the affine
-// benchmarks, B beating O where the schedule streams, non-vacuity).
 // quickCertGrid runs the quick cross-validation grid once and shares
 // it between the tests below, which check different slices of it.
 var quickCertGrid = func() func(t *testing.T) *CertCrossValidation {
@@ -31,6 +25,12 @@ var quickCertGrid = func() func(t *testing.T) *CertCrossValidation {
 	}
 }()
 
+// TestCertCrossValidation is the hogflow acceptance check: in every
+// benchmark × mode × DRAM:far ratio cell, the observed peaks of
+// both tiers must stay at or below their certificates, and the grid
+// must meet every contract Validate states (empty far tiers for the
+// non-releasing versions, HV014 agreement, 1:0 tightness on the affine
+// benchmarks, B beating O where the schedule streams, non-vacuity).
 func TestCertCrossValidation(t *testing.T) {
 	cv := quickCertGrid(t)
 
@@ -42,7 +42,7 @@ func TestCertCrossValidation(t *testing.T) {
 	}
 	for _, c := range cv.Rows {
 		if c.ObservedPeak <= 0 {
-			t.Errorf("%s/%s@%s: flight recorder observed no resident pages", c.Bench, c.Mode, c.Ratio)
+			t.Errorf("%s/%s@%s: observed no resident pages", c.Bench, c.Mode, c.Ratio)
 		}
 		if c.CertifiedPages <= 0 {
 			t.Errorf("%s/%s@%s: empty certificate", c.Bench, c.Mode, c.Ratio)

@@ -24,14 +24,27 @@ type ChaosMatrix struct {
 	Results map[string]map[string]map[rt.Mode]*driver.Result
 }
 
-// chaosAuditEvery returns the continuous-audit cadence: tight on the
-// scaled machine, coarser at full scale where a run spans many
-// virtual minutes.
-func (o Opts) chaosAuditEvery() sim.Time {
-	if o.Scaled {
-		return 5 * sim.Millisecond
+// ChaosConfig returns the chaos run of base under plan. memhog chaos,
+// the chaos matrix and the property harness all build their runs here,
+// so a replay line printed by one of them reruns the same machine. The
+// machine's scale sets the audit cadence (5 ms scaled, 100 ms at full
+// scale; the driver also audits after every injected fault) and the
+// completion horizon (120 virtual s scaled, 30 min at full scale: the
+// slowest scaled benchmark needs a few virtual seconds clean, so a
+// wedge still fails fast). A plan that arms a far-tier site on a
+// machine with no far tier gets one: the memory budget is split
+// DRAM:far 3:1, the tiering campaign's first split.
+func ChaosConfig(base driver.RunConfig, plan chaos.Plan, scaled bool) driver.RunConfig {
+	cfg := base
+	cfg.Chaos = &plan
+	cfg.AuditEvery, cfg.Horizon = 100*sim.Millisecond, 30*60*sim.Second
+	if scaled {
+		cfg.AuditEvery, cfg.Horizon = 5*sim.Millisecond, 120*sim.Second
 	}
-	return 100 * sim.Millisecond
+	if plan.TargetsFar() && cfg.Kernel.Far.Pages == 0 {
+		cfg.Kernel.UserMemPages, cfg.Kernel.Far.Pages = TierRatio{3, 1}.Split(cfg.Kernel.UserMemPages)
+	}
+	return cfg
 }
 
 // chaosCellSeed derives a distinct, reproducible plan seed per cell
@@ -77,21 +90,7 @@ func RunChaosMatrix(o Opts, seed uint64) (*ChaosMatrix, error) {
 			if err != nil {
 				return nil, "", err
 			}
-			cfg := o.runConfig(c.mode, cache)
-			cfg.Chaos = &plan
-			cfg.AuditEvery = o.chaosAuditEvery()
-			cfg.AuditOnFault = true
-			// The far class aims its faults at the far tier, so its
-			// cells must run with one: split the budget 3:1 like the
-			// tiering campaign's first split. Other classes keep the
-			// all-DRAM machine, leaving their cells untouched by the
-			// tier's existence.
-			if c.class == "far" {
-				dram, far := (TierRatio{3, 1}).Split(cfg.Kernel.UserMemPages)
-				cfg.Kernel.UserMemPages = dram
-				cfg.Kernel.Far.Pages = far
-			}
-			r, err := driver.Run(c.spec, cfg)
+			r, err := driver.Run(c.spec, ChaosConfig(o.runConfig(c.mode, cache), plan, o.Scaled))
 			if err != nil {
 				return nil, "", err
 			}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"memhogs/internal/chaos"
 )
 
 // chaosQuick is the quick chaos-matrix campaign CI runs under -race:
@@ -31,11 +33,30 @@ func TestChaosMatrixQuick(t *testing.T) {
 			t.Errorf("class %s injected no faults anywhere", class)
 		}
 	}
+	// A class whose plan names a far site runs on a far tier, so those
+	// sites must fire somewhere.
+	for _, class := range m.Classes {
+		plan, err := chaos.ClassPlan(class, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.TargetsFar() {
+			continue
+		}
+		far := int64(0)
+		for _, mode := range Modes {
+			c := m.Results["matvec"][class][mode].Chaos
+			far += c.Get(chaos.FarSlow) + c.Get(chaos.FarDrop) + c.Get(chaos.FarShrink) + c.Get(chaos.FarGrow)
+		}
+		if far == 0 {
+			t.Errorf("class %s names a far site but fired no far-site fault", class)
+		}
+	}
 	out := FormatChaosMatrix(m).String()
 	if out == "" {
 		t.Fatal("empty chaos matrix rendering")
 	}
-	checkDigest(t, "chaos matrix matvec seed 7", out, "4da950ae5f5c3b96acee408d66ad699863f73aea444d6c0c52c146363994fc77")
+	checkDigest(t, "chaos matrix matvec seed 7", out, "e98bed30761e2da6fc516a996f25a0e0c52d6cab7d70a0ad6268b45a9696dc73")
 }
 
 // TestChaosMatrixDeterministic replays one cell with the same seed

@@ -682,7 +682,9 @@ type ChaosOptions struct {
 	// after every injected fault.
 	AuditEveryMS int
 	// InteractiveSleepMS, if >= 0, runs the paper's interactive task
-	// concurrently with the given think time in milliseconds.
+	// concurrently with the given think time in milliseconds. The
+	// zero value runs it with no think time; replaying a run of
+	// memhog chaos, the chaos matrix or the property harness needs -1.
 	InteractiveSleepMS int
 	// Seconds, if > 0, loops the program until the given virtual time
 	// instead of running it once.
@@ -747,7 +749,9 @@ func chaosPlan(faults string, seed uint64) (chaos.Plan, error) {
 // and any corruption fails the run with the audit's diagnosis. A
 // completed run therefore certifies that the injected faults only
 // degraded throughput — they never corrupted memory-system state or
-// wedged the machine.
+// wedged the machine. The run is built like the chaos matrix's and the
+// property harness's: a plan that arms a far-tier site on a machine
+// with no far tier runs with the memory budget split DRAM:far 3:1.
 func Chaos(name string, v Version, m Machine, opts ChaosOptions) (*ChaosReport, error) {
 	spec, err := specFor(name, m)
 	if err != nil {
@@ -757,24 +761,12 @@ func Chaos(name string, v Version, m Machine, opts ChaosOptions) (*ChaosReport, 
 	if err != nil {
 		return nil, err
 	}
-	auditEvery := 100 * sim.Millisecond
-	if m.Scaled {
-		auditEvery = 5 * sim.Millisecond
-	}
+	cfg := experiments.ChaosConfig(RunOptions{InteractiveSleepMS: opts.InteractiveSleepMS}.config(m, v), plan, m.Scaled)
 	if opts.AuditEveryMS > 0 {
-		auditEvery = sim.Time(opts.AuditEveryMS) * sim.Millisecond
+		cfg.AuditEvery = sim.Time(opts.AuditEveryMS) * sim.Millisecond
 	}
-	cfg := RunOptions{InteractiveSleepMS: opts.InteractiveSleepMS, RepeatSeconds: opts.Seconds}.config(m, v)
-	cfg.Chaos = &plan
-	cfg.AuditEvery = auditEvery
-	cfg.AuditOnFault = true
-	// A plan that arms far-tier sites needs a far tier to hit: split
-	// the budget 3:1, exactly like the chaos matrix's far cells.
-	// Other plans keep the all-DRAM machine.
-	if plan.TargetsFar() && cfg.Kernel.Far.Pages == 0 {
-		dram, far := (experiments.TierRatio{DRAM: 3, Far: 1}).Split(cfg.Kernel.UserMemPages)
-		cfg.Kernel.UserMemPages = dram
-		cfg.Kernel.Far.Pages = far
+	if opts.Seconds > 0 {
+		cfg.Repeat, cfg.Horizon = true, sim.Time(opts.Seconds)*sim.Second
 	}
 	res, err := driver.Run(spec, cfg)
 	if err != nil {
