@@ -11,6 +11,10 @@
 //   - append, which may grow its backing array (preallocate capacity
 //     and suppress with an allow directive where growth is amortized),
 //   - closures (func literals capture their environment on the heap),
+//   - method values: a bound method used as a value rather than called
+//     (x.M passed to a scheduler) allocates a closure holding its
+//     receiver, just as a func literal does; bind it once, outside
+//     the per-event path, and pass the stored func,
 //   - interface boxing: passing or converting a concrete
 //     non-pointer-shaped value to an interface, which copies the value
 //     to the heap. Pointer-shaped values (pointers, maps, channels,
@@ -71,10 +75,20 @@ func funcName(fd *ast.FuncDecl) string {
 }
 
 func checkBody(pass *analysis.Pass, fname string, body *ast.BlockStmt) {
+	// Selectors in call position: Inspect visits a call before its
+	// callee, so x.M() is known to be a call when x.M is reached.
+	called := map[*ast.SelectorExpr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+				called[sel] = true
+			}
 			checkCall(pass, fname, n)
+		case *ast.SelectorExpr:
+			if s, ok := pass.TypesInfo.Selections[n]; ok && s.Kind() == types.MethodVal && !called[n] {
+				pass.Reportf(n.Pos(), "closure allocation (method value %s) in //simvet:hot %s; bind it once outside the per-event path", types.ExprString(n), fname)
+			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {

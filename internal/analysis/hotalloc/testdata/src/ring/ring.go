@@ -11,6 +11,12 @@ func sink(interface{}) {}
 
 func takePtr(*rec) {}
 
+func (r *rec) bump() { r.a++ }
+
+func schedule(fn func()) {}
+
+func scheduleRec(fn func(*rec)) {}
+
 // Hot demonstrates the findings.
 //
 //simvet:hot
@@ -29,20 +35,28 @@ func Hot(buf []rec, n int) {
 	f := func() int { return n } // want `closure allocation`
 	_ = f
 	sink(interface{}(rec{a: n})) // want `interface boxing \(conversion of ring.rec\)`
+	schedule(r.bump)             // want `closure allocation \(method value r.bump\)`
+	schedule((r).bump)           // want `closure allocation \(method value \(r\).bump\)`
 }
 
 // CleanHot shows the alloc-free idioms the pass accepts: writing into
-// preallocated storage, struct literals that stay on the stack, and
-// pointer-shaped values crossing interface boundaries.
+// preallocated storage, struct literals that stay on the stack,
+// pointer-shaped values crossing interface boundaries, calling a
+// method (directly or parenthesized), passing a method expression or
+// a func bound earlier.
 //
 //simvet:hot
-func CleanHot(buf []rec, r *rec, n int) {
+func CleanHot(buf []rec, r *rec, n int, bound func()) {
 	buf[0] = rec{a: n}
 	buf[0].b += n
 	takePtr(&buf[0])
 	sink(r)            // pointer fits the interface word
 	sink(nil)          // nil boxes nothing
 	logf("forwarding") // no variadic args, nothing to box
+	r.bump()
+	(r.bump)()
+	scheduleRec((*rec).bump) // method expression: a plain func, no receiver bound
+	schedule(bound)
 }
 
 // Forward passes a ready-made slice through a variadic call: the

@@ -4,10 +4,15 @@
 // partitions across ten Seagate Cheetah 4LP disks on five SCSI
 // adapters).
 //
-// Each disk services requests FIFO with a positioning phase (cheap if
-// the request is sequential with the previous one on that disk) and a
+// Each disk services requests in CSCAN order with a positioning phase
+// (cheap if the request is near the previous one on that disk) and a
 // transfer phase that must also hold the disk's adapter, modelling the
 // two-disks-per-adapter bandwidth constraint.
+//
+// A disk is an event-driven server, not a simulated process: its
+// service loop is a chain of event callbacks on the disk's state
+// (next, position, acquire, transfer, transferred), so a request costs
+// events but no goroutine switches.
 package disk
 
 import (
@@ -44,13 +49,13 @@ func (o Op) String() string {
 }
 
 // Request is one page-sized transfer. Done, if non-nil, is invoked in
-// the event loop when the transfer completes; Waiter, if non-nil, is
-// woken instead.
+// the event loop, with no current process, when the transfer
+// completes. It must not block: it may update state, wake a process
+// (p.Wake) or submit further requests.
 type Request struct {
-	Op     Op
-	Block  int64 // absolute block (page) number on the target disk
-	Done   func()
-	Waiter *sim.Proc
+	Op    Op
+	Block int64 // absolute block (page) number on the target disk
+	Done  func()
 
 	queuedAt sim.Time
 }
@@ -87,20 +92,37 @@ type Array struct {
 	Chaos *chaos.Injector
 }
 
-type disk struct {
-	arr       *Array
-	id        int
-	name      string
-	adapter   *sim.Sem
-	queue     []*Request
-	busy      bool
-	lastBlock int64
-	rng       *sim.Rand
-	proc      *sim.Proc
-	work      *sim.Waitq
+// adapter is a channel shared by the disks assigned to it: a disk
+// transfers only while it holds its adapter, and the adapter passes
+// from one holder to the longest-waiting disk.
+type adapter struct {
+	busy    bool
+	waiters []*disk
 }
 
-// New creates the disk array and starts one service process per disk.
+type disk struct {
+	arr       *Array
+	name      string
+	adapter   *adapter
+	queue     []*Request
+	idle      bool // queue ran dry; the next Submit kicks the server
+	lastBlock int64
+	rng       *sim.Rand
+
+	// The request in service, when positioning began, and how many of
+	// its transfers have failed.
+	req     *Request
+	start   sim.Time
+	attempt int
+
+	// The service-loop callbacks, bound once: a method value passed
+	// to At or After would allocate at every scheduling.
+	nextFn, positionFn, acquireFn, transferFn, transferredFn func()
+}
+
+// New creates the disk array. Each disk's server starts with an event
+// at the current time, which finds its queue empty (and idles) or
+// serves what was submitted before the run.
 func New(s *sim.Sim, cfg Config) *Array {
 	if cfg.NumDisks <= 0 {
 		panic("disk: NumDisks must be positive")
@@ -109,22 +131,19 @@ func New(s *sim.Sim, cfg Config) *Array {
 		cfg.NumAdapters = 1
 	}
 	a := &Array{sim: s, cfg: cfg}
-	adapters := make([]*sim.Sem, cfg.NumAdapters)
-	for i := range adapters {
-		adapters[i] = sim.NewSem(fmt.Sprintf("adapter%d", i), 1)
-	}
+	adapters := make([]adapter, cfg.NumAdapters)
 	for i := 0; i < cfg.NumDisks; i++ {
 		d := &disk{
 			arr:       a,
-			id:        i,
 			name:      fmt.Sprintf("disk%d", i),
-			adapter:   adapters[i%cfg.NumAdapters],
+			adapter:   &adapters[i%cfg.NumAdapters],
 			lastBlock: -1 << 40, // far away: first request pays a full seek
 			rng:       sim.NewRand(cfg.Seed + uint64(i)*0x9e37 + 1),
-			work:      sim.NewWaitq(fmt.Sprintf("disk%d.work", i)),
 		}
+		d.nextFn, d.positionFn, d.acquireFn = d.next, d.position, d.acquire
+		d.transferFn, d.transferredFn = d.transfer, d.transferred
 		a.disks = append(a.disks, d)
-		d.proc = s.Spawn(d.name, d.serve)
+		s.At(s.Now(), d.nextFn)
 	}
 	return a
 }
@@ -145,15 +164,18 @@ func (a *Array) DiskFor(swapPage int64) int {
 	return d
 }
 
-// Submit enqueues a request on the disk holding swapPage. The caller
-// is responsible for arranging to learn of completion through
-// req.Done or req.Waiter.
+// Submit enqueues a request on the disk holding swapPage, kicking the
+// disk's server if it is idle. The caller learns of completion through
+// req.Done.
 func (a *Array) Submit(swapPage int64, req *Request) {
 	d := a.disks[a.DiskFor(swapPage)]
 	req.Block = swapPage / int64(len(a.disks)) // block within the stripe column
 	req.queuedAt = a.sim.Now()
 	d.queue = append(d.queue, req)
-	d.work.WakeOne()
+	if d.idle {
+		d.idle = false
+		a.sim.At(a.sim.Now(), d.nextFn)
+	}
 }
 
 // pickNext chooses the next request CSCAN-style: the lowest block at
@@ -183,71 +205,110 @@ func (d *disk) pickNext() *Request {
 	return req
 }
 
-// serve is the per-disk service loop.
-func (d *disk) serve(p *sim.Proc) {
+// next starts the next queued request, or idles the disk until
+// Submit kicks it.
+//
+//simvet:hot
+func (d *disk) next() {
+	if len(d.queue) == 0 {
+		d.idle = true
+		return
+	}
 	a := d.arr
-	for {
-		for len(d.queue) == 0 {
-			d.work.Wait(p)
-		}
-		req := d.pickNext()
+	d.req = d.pickNext()
+	d.attempt = 0
+	a.stats.QueueTime += a.sim.Now() - d.req.queuedAt
 
-		a.stats.QueueTime += p.Now() - req.queuedAt
+	// Chaos: a controller hiccup before positioning even starts.
+	if spike := a.Chaos.FireDelay(chaos.DiskSlow, d.name); spike > 0 {
+		a.sim.After(spike, d.positionFn)
+		return
+	}
+	d.position()
+}
 
-		// Chaos: a controller hiccup before positioning even starts.
-		if spike := a.Chaos.FireDelay(chaos.DiskSlow, d.name); spike > 0 {
-			p.Sleep(spike)
-		}
+// position moves the head: near-sequential requests (within a
+// cylinder or two of the last block) pay only the short settle time;
+// distant ones pay a full seek + rotation.
+//
+//simvet:hot
+func (d *disk) position() {
+	a := d.arr
+	var pos sim.Time
+	dist := d.req.Block - d.lastBlock
+	if dist < 0 {
+		dist = -dist
+	}
+	if dist <= nearBlocks {
+		pos = a.cfg.SeqPosTime
+		a.stats.SeqHits++
+	} else {
+		pos = d.rng.Duration(a.cfg.PosTimeMin, a.cfg.PosTimeMax+1)
+	}
+	d.start = a.sim.Now()
+	a.sim.After(pos, d.acquireFn)
+}
 
-		// Positioning: near-sequential requests (within a cylinder or
-		// two of the last block) pay only the short settle time;
-		// distant ones pay a full seek + rotation.
-		var pos sim.Time
-		dist := req.Block - d.lastBlock
-		if dist < 0 {
-			dist = -dist
-		}
-		if dist <= nearBlocks {
-			pos = a.cfg.SeqPosTime
-			a.stats.SeqHits++
-		} else {
-			pos = d.rng.Duration(a.cfg.PosTimeMin, a.cfg.PosTimeMax+1)
-		}
-		start := p.Now()
-		p.Sleep(pos)
+// acquire takes the adapter for a transfer (two disks share one
+// channel), or waits in its FIFO for the holder to pass it on.
+//
+//simvet:hot
+func (d *disk) acquire() {
+	ad := d.adapter
+	if ad.busy {
+		//simvet:allow SV006 at most one entry per disk on its adapter; the slice is reused
+		ad.waiters = append(ad.waiters, d)
+		return
+	}
+	ad.busy = true
+	d.transfer()
+}
 
-		// Transfer holds the adapter: two disks share one channel.
-		// Chaos can fail a read transfer; the disk backs off
-		// (exponentially, from the fault's magnitude) and retries from
-		// the already-positioned head, with a retry cap guaranteeing
-		// forward progress.
-		for attempt := 0; ; attempt++ {
-			d.adapter.Acquire(p)
-			p.Sleep(a.cfg.TransferTime)
-			d.adapter.Release()
-			if req.Op != Read || attempt >= maxReadRetries {
-				break
-			}
-			backoff := a.Chaos.FireDelay(chaos.DiskError, d.name)
-			if backoff == 0 {
-				break
-			}
+// transfer moves the page while the disk holds its adapter.
+//
+//simvet:hot
+func (d *disk) transfer() { d.arr.sim.After(d.arr.cfg.TransferTime, d.transferredFn) }
+
+// transferred ends a transfer: the adapter passes to the
+// longest-waiting disk, then the request either completes or, after an
+// injected read error, backs off (exponentially, from the fault's
+// magnitude) and retries from the already-positioned head. The retry
+// cap guarantees forward progress. On completion the disk goes
+// straight on to its next request.
+//
+//simvet:hot
+func (d *disk) transferred() {
+	a := d.arr
+	ad := d.adapter
+	if len(ad.waiters) > 0 {
+		w := ad.waiters[0]
+		copy(ad.waiters, ad.waiters[1:])
+		ad.waiters = ad.waiters[:len(ad.waiters)-1]
+		a.sim.At(a.sim.Now(), w.transferFn)
+	} else {
+		ad.busy = false
+	}
+
+	req := d.req
+	if req.Op == Read && d.attempt < maxReadRetries {
+		if backoff := a.Chaos.FireDelay(chaos.DiskError, d.name); backoff > 0 {
 			a.stats.ReadRetries++
-			p.Sleep(backoff << uint(attempt))
-		}
-
-		d.lastBlock = req.Block
-		a.stats.BusyTime += p.Now() - start
-		if req.Op == Read {
-			a.stats.Reads++
-		} else {
-			a.stats.Writes++
-		}
-		if req.Done != nil {
-			req.Done()
-		}
-		if req.Waiter != nil {
-			req.Waiter.Wake()
+			a.sim.After(backoff<<uint(d.attempt), d.acquireFn)
+			d.attempt++
+			return
 		}
 	}
+
+	d.lastBlock = req.Block
+	a.stats.BusyTime += a.sim.Now() - d.start
+	if req.Op == Read {
+		a.stats.Reads++
+	} else {
+		a.stats.Writes++
+	}
+	d.req = nil
+	if req.Done != nil {
+		req.Done()
+	}
+	d.next()
 }

@@ -108,12 +108,17 @@ func TestSequentialDiscount(t *testing.T) {
 }
 
 func TestWaiterWoken(t *testing.T) {
+	// A process parks until its request's Done wakes it, as a demand
+	// page-in does: Done runs in the event loop and only wakes.
 	s := sim.New()
 	a := New(s, testConfig())
 	var woke sim.Time
 	s.Spawn("app", func(p *sim.Proc) {
 		done := false
-		a.Submit(3, &Request{Op: Write, Done: func() { done = true }, Waiter: p})
+		a.Submit(3, &Request{Op: Write, Done: func() {
+			done = true
+			p.Wake()
+		}})
 		for !done {
 			p.Park()
 		}

@@ -182,10 +182,10 @@ func (h *harness) start(g *hog, stopSim bool) {
 // finish runs the simulation to the horizon and reports the first hog
 // error, then the first audit error. Every run doubles as a
 // whole-system consistency check, so the final state is audited too.
-// The processes still parked at the end (daemons, disk servers, a
-// horizon-cut hog) are unwound when finish returns, so no goroutine
-// outlives the run; the caller reads only counters, which unwinding
-// leaves alone.
+// The processes still parked at the end (daemons, a horizon-cut hog;
+// the disks are event-driven and own none) are unwound when finish
+// returns, so no goroutine outlives the run; the caller reads only
+// counters, which unwinding leaves alone.
 func (h *harness) finish(name string) error {
 	defer h.sys.Sim.Close()
 	h.sys.Run(h.cfg.Horizon)

@@ -124,8 +124,8 @@ func TestRejectsConfigsEntryPointsCannotHonour(t *testing.T) {
 }
 
 // TestRunsLeaveNoGoroutines: every entry point closes its simulator,
-// so the processes still parked when a run ends (daemons, disk
-// servers, prefetch workers, the interactive task) exit with it.
+// so the processes still parked when a run ends (daemons, prefetch
+// workers, the interactive task) exit with it.
 func TestRunsLeaveNoGoroutines(t *testing.T) {
 	spec, err := workload.ScaledByName("matvec")
 	if err != nil {

@@ -299,7 +299,7 @@ func FormatCertCrossValidation(cv *CertCrossValidation) *metrics.Table {
 		t.AddRow(c.Bench, c.Mode.String(), c.Version.String(), c.Ratio.String(), bound,
 			c.CertifiedPages, c.ObservedPeak, c.FarCertified, c.ObservedFarPeak, sound, tight, hv)
 	}
-	t.AddNote("Sound: neither tier's flight-recorded peak exceeds its certificate.")
+	t.AddNote("Sound: neither tier's observed peak exceeds its certificate.")
 	t.AddNote("Tight (affine benchmarks, non-releasing versions, 1:0): observed within %d%% of certified.",
 		int(100*(1-certTightFrac)))
 	t.AddNote("HV014: hogvet proves the far-tier bound exceeds the configured tier at this ratio.")

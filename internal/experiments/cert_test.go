@@ -58,7 +58,7 @@ func TestCertCrossValidation(t *testing.T) {
 	if strings.Contains(out, "NO") {
 		t.Errorf("table shows violated cells:\n%s", out)
 	}
-	checkDigest(t, "cert cross-validation", out, "a3a7e9c57fb5bc48f7ed80f3671f476081d0cdedb0370b0a45e1ac8d3becb010")
+	checkDigest(t, "cert cross-validation", out, "0258027b31af054fe016bcb9b11a85c725a2e543b4fb6baf7815da8331a2f901")
 }
 
 // TestModeVersion pins the mode → certificate-version mapping over

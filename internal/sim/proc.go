@@ -10,7 +10,8 @@ import "fmt"
 // resuming another process costs one.
 //
 // Proc methods that advance or block (Sleep, Park, and everything
-// built on them) must only be called from within the Proc's own body.
+// built on them) must only be called from within the Proc's own body;
+// called anywhere else, they panic.
 type Proc struct {
 	sim      *Sim
 	name     string
@@ -84,11 +85,17 @@ func (p *Proc) call(body func(p *Proc)) {
 // resume is p itself it returns at once, otherwise it hands control
 // to that process (or back to Run when the run ends) and waits. Under
 // Close it panics with errClosed instead, both when Close resumes it
-// and when a deferred call tries to park during the unwind.
+// and when a deferred call tries to park during the unwind. Blocking
+// p anywhere but in p's own body (from an event callback, or from
+// another process) would run the loop on a goroutine p does not own,
+// so it panics.
 func (p *Proc) yieldToLoop() {
 	s := p.sim
 	if s.closing {
 		panic(errClosed)
+	}
+	if s.current != p {
+		panic("sim: " + p.name + " blocked outside its own body")
 	}
 	if q := s.next(); q != p {
 		s.transfer(q)

@@ -112,6 +112,25 @@ func TestCallbacksSeeNoCurrentProc(t *testing.T) {
 	}
 }
 
+// TestBlockOutsideBodyPanics: an event callback that blocks a process
+// (here one that has not started yet) fails loudly instead of running
+// the loop on a goroutine the process does not own.
+func TestBlockOutsideBodyPanics(t *testing.T) {
+	s := New()
+	defer s.Close()
+	var p *Proc
+	s.At(0, func() { p.Sleep(Millisecond) })
+	p = s.SpawnAt(Second, "late", func(p *Proc) { t.Error("late process ran") })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run(0)
+		return nil
+	}()
+	if want := "sim: late blocked outside its own body"; got != want {
+		t.Fatalf("Run panicked with %v, want %q", got, want)
+	}
+}
+
 // TestSleepZeroIsFIFO: Sleep(0) with another process due at the same
 // instant lets that process go first; alone, it returns at once.
 func TestSleepZeroIsFIFO(t *testing.T) {

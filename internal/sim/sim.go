@@ -12,15 +12,20 @@
 // makes every run fully deterministic, which the experiment harness
 // relies on.
 //
-// Processes that never finish (daemons, disk servers) are unwound by
-// Close, which must follow the last Run for the goroutines to exit.
+// Processes that never finish (daemons, a hog cut by the horizon) are
+// unwound by Close, which must follow the last Run for the goroutines
+// to exit.
 // Unwinding runs the bodies' deferred calls, so no defer may touch
 // simulator state on a path that can park: it would run while the
 // process is parked, not where the code reads as if it ran.
 //
-// The rest of the system (disks, daemons, workloads) is built from
-// three primitives defined here: timed events, parkable processes, and
-// wait queues (from which locks and semaphores are derived).
+// The rest of the system is built from three primitives defined here:
+// timed events, parkable processes, and wait queues (from which locks
+// and semaphores are derived). Daemons and workloads are processes;
+// disks are event-driven servers, chains of timed callbacks with no
+// process of their own, because a page-in or page-out would otherwise
+// cost several goroutine switches. An event callback runs with no
+// current process and must not block one.
 package sim
 
 import (
