@@ -278,6 +278,13 @@ func (e *execCtx) System(d sim.Time) {
 	e.consume(d, vm.BucketSystem)
 }
 
+// SystemThen implements vm.Exec for a thread with a body: System,
+// then k.
+func (e *execCtx) SystemThen(d sim.Time, k func()) {
+	e.System(d)
+	k()
+}
+
 // Account implements vm.Exec.
 func (e *execCtx) Account(b vm.Bucket, d sim.Time) { e.times[b] += d }
 
@@ -298,6 +305,72 @@ func (e *execCtx) consume(d sim.Time, b vm.Bucket) {
 		e.times[b] += q
 		d -= q
 	}
+}
+
+// stepExec is the vm.Exec of a step thread (see SpawnWorker). Its
+// SystemThen is consume as a chain of events: each quantum-sized
+// slice takes a CPU (granted), holds it (sliced) and gives it back,
+// pushing the same events at the same points as consume does.
+type stepExec struct {
+	execCtx
+
+	left  sim.Time // charge still to run
+	slice sim.Time // the slice in progress
+	asked sim.Time // when the CPU for it was asked for
+	then  func()   // runs once the charge is done
+
+	// The steps, bound once: a method value passed to AcquireThen or
+	// SleepThen would allocate at every slice.
+	grantedFn, slicedFn func()
+}
+
+// SystemThen implements vm.Exec: consume d of CPU time in system mode,
+// then run k. A step thread never has user computation to flush.
+//
+//simvet:hot
+func (e *stepExec) SystemThen(d sim.Time, k func()) {
+	e.left, e.then = d, k
+	e.nextSlice()
+}
+
+// nextSlice asks for a CPU for the next slice, or ends the charge.
+//
+//simvet:hot
+func (e *stepExec) nextSlice() {
+	if e.left <= 0 {
+		k := e.then
+		e.then = nil
+		k()
+		return
+	}
+	e.asked = e.proc.Now()
+	if e.sys.cpus.AcquireThen(e.proc, e.grantedFn) {
+		e.granted()
+	}
+}
+
+// granted holds the CPU for one slice.
+//
+//simvet:hot
+func (e *stepExec) granted() {
+	if w := e.proc.Now() - e.asked; w > 0 {
+		e.times[vm.BucketStallCPU] += w
+	}
+	e.slice = e.left
+	if e.slice > e.sys.Cfg.CPUQuantum {
+		e.slice = e.sys.Cfg.CPUQuantum
+	}
+	e.proc.SleepThen(e.slice, e.slicedFn)
+}
+
+// sliced gives the CPU back after a slice.
+//
+//simvet:hot
+func (e *stepExec) sliced() {
+	e.sys.cpus.Release()
+	e.times[vm.BucketSystem] += e.slice
+	e.left -= e.slice
+	e.nextSlice()
 }
 
 // Process is a simulated user process: one address space, optionally a
@@ -401,16 +474,16 @@ func (p *Process) Start(stopSim bool, body func(t *Thread)) *Thread {
 	return t
 }
 
-// SpawnThread launches a helper thread (e.g. a prefetch worker) whose
-// time is accounted to WorkerTimes.
-func (p *Process) SpawnThread(name string, body func(t *Thread)) *Thread {
-	t := &Thread{P: p}
-	p.Sys.Sim.Spawn(p.Name+"."+name, func(proc *sim.Proc) {
-		t.exec = &execCtx{sys: p.Sys, proc: proc, times: &p.WorkerTimes, flush: t.FlushUser}
-		body(t)
-		t.FlushUser()
-	})
-	return t
+// SpawnWorker launches an event-driven helper thread (a run-time-layer
+// worker): a step process named <process>.<name>, whose first step,
+// start, runs at the current virtual time. Its time is accounted to
+// WorkerTimes. It returns the thread's vm.Exec; Exec.Proc is the step
+// process, which blocks only through the continuation forms.
+func (p *Process) SpawnWorker(name string, start func()) vm.Exec {
+	e := &stepExec{execCtx: execCtx{sys: p.Sys, times: &p.WorkerTimes, flush: func() {}}}
+	e.grantedFn, e.slicedFn = e.granted, e.sliced
+	e.proc = p.Sys.Sim.SpawnStep(p.Name+"."+name, start)
+	return e
 }
 
 // Exec returns the thread's vm.Exec context.

@@ -136,15 +136,17 @@ func TestWorkerThreadTimesSeparate(t *testing.T) {
 	p.Start(false, func(th *Thread) {
 		th.User(sim.Millisecond)
 	})
-	p.SpawnThread("worker", func(th *Thread) {
-		th.User(7 * sim.Millisecond)
+	var x vm.Exec
+	x = p.SpawnWorker("worker", func() {
+		x.SystemThen(7*sim.Millisecond, func() {})
 	})
 	sys.Run(0)
-	if p.WorkerTimes[vm.BucketUser] != 7*sim.Millisecond {
-		t.Fatalf("worker user = %v, want 7ms", p.WorkerTimes[vm.BucketUser])
+	if p.WorkerTimes[vm.BucketSystem] != 7*sim.Millisecond {
+		t.Fatalf("worker system = %v, want 7ms", p.WorkerTimes[vm.BucketSystem])
 	}
-	if p.Times[vm.BucketUser] != sim.Millisecond {
-		t.Fatalf("main user = %v, want 1ms (worker time leaked in)", p.Times[vm.BucketUser])
+	if p.Times[vm.BucketUser] != sim.Millisecond || p.Times[vm.BucketSystem] != 0 {
+		t.Fatalf("main user/system = %v/%v, want 1ms/0 (worker time leaked in)",
+			p.Times[vm.BucketUser], p.Times[vm.BucketSystem])
 	}
 }
 

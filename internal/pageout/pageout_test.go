@@ -20,6 +20,10 @@ func (e *testExec) System(d sim.Time) {
 	e.times[vm.BucketSystem] += d
 }
 func (e *testExec) Account(b vm.Bucket, d sim.Time) { e.times[b] += d }
+func (e *testExec) SystemThen(d sim.Time, k func()) {
+	e.System(d)
+	k()
+}
 
 type rig struct {
 	s        *sim.Sim

@@ -93,6 +93,8 @@ func (r *Releaser) Start(mk func(*sim.Proc) vm.Exec) {
 // cleared the shared-page bits and invalidated the mappings. prios
 // (may be nil) carries each page's eq. 2 reuse priority, parallel to
 // vpns, and steers tier demotion; see ReleaserConfig.FarMinPrio.
+// The request keeps both slices until it is handled: the caller hands
+// them over and must not touch them again.
 func (r *Releaser) Enqueue(as *vm.AS, vpns []int, prios []int) {
 	r.queue = append(r.queue, releaseReq{as: as, vpns: vpns, prios: prios})
 	r.wake.WakeOne()

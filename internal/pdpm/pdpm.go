@@ -208,13 +208,48 @@ func (pm *PM) Revalidate(vpn int) {
 // usage and limit words.
 func (pm *PM) Activity() { pm.refresh() }
 
-// Prefetch issues a prefetch request for vpn on behalf of worker
-// context x (one of the run-time layer's threads).
-func (pm *PM) Prefetch(x vm.Exec, vpn int) vm.PrefetchResult {
-	pm.Stats.PrefetchRequests++
-	x.System(pm.cfg.PrefetchCall)
-	res := pm.as.Prefetch(x, vpn)
-	pm.as.Events.Emit(events.PMPrefetchCall, pm.as.OwnerName(), "", vpn, int64(res), 0)
+// A Worker issues a PM's prefetch and release requests for one thread
+// of the run-time layer: each request is a chain of steps bound once
+// per Worker, so a step process runs it without a goroutine, and done
+// runs as each request ends. A Worker serves one request at a time.
+type Worker struct {
+	pm   *PM
+	x    vm.Exec
+	pf   *vm.Prefetcher
+	done func()
+
+	vpn         int
+	vpns, prios []int
+
+	// The steps, bound once.
+	prefetchFn, releaseFn func()
+}
+
+// NewWorker returns a Worker that runs requests on x's process.
+func (pm *PM) NewWorker(x vm.Exec, done func()) *Worker {
+	w := &Worker{pm: pm, x: x, done: done}
+	w.pf = pm.as.NewPrefetcher(x, w.prefetched)
+	w.prefetchFn, w.releaseFn = w.prefetch, w.release
+	return w
+}
+
+// Prefetch issues a prefetch request for vpn: the system call's CPU,
+// then the page-in (vm.Prefetcher).
+//
+//simvet:hot
+func (w *Worker) Prefetch(vpn int) {
+	w.pm.Stats.PrefetchRequests++
+	w.vpn = vpn
+	w.x.SystemThen(w.pm.cfg.PrefetchCall, w.prefetchFn)
+}
+
+//simvet:hot
+func (w *Worker) prefetch() { w.pf.Start(w.vpn) }
+
+//simvet:hot
+func (w *Worker) prefetched() {
+	pm, res := w.pm, w.pf.Result()
+	pm.as.Events.Emit(events.PMPrefetchCall, pm.as.OwnerName(), "", w.vpn, int64(res), 0)
 	switch res {
 	case vm.PrefetchAlreadyIn:
 		pm.Stats.PrefetchAlreadyIn++
@@ -228,7 +263,7 @@ func (pm *PM) Prefetch(x vm.Exec, vpn int) vm.PrefetchResult {
 		pm.Stats.PrefetchPromoted++
 	}
 	pm.refresh()
-	return res
+	w.done()
 }
 
 // Release issues a release request for the given pages: the PM clears
@@ -236,22 +271,29 @@ func (pm *PM) Prefetch(x vm.Exec, vpn int) vm.PrefetchResult {
 // reference is observable, and queues the request to the releaser
 // daemon (§3.1.2). prios (may be nil) carries the pages' eq. 2 reuse
 // priorities, parallel to vpns, which the releaser uses to pick a
-// demotion target when the machine has a far tier.
-func (pm *PM) Release(x vm.Exec, vpns []int, prios []int) {
+// demotion target when the machine has a far tier. The request takes
+// ownership of both slices: they go to the releaser's queue as they
+// are, so the caller must not touch them again.
+//
+//simvet:hot
+func (w *Worker) Release(vpns []int, prios []int) {
+	pm := w.pm
 	pm.Stats.ReleaseRequests++
 	pm.Stats.ReleasePages += int64(len(vpns))
 	pm.as.Events.Emit(events.PMReleaseCall, pm.as.OwnerName(), "", -1, int64(len(vpns)), 0)
-	x.System(pm.cfg.ReleaseCall)
-	batch := make([]int, 0, len(vpns))
+	w.vpns, w.prios = vpns, prios
+	w.x.SystemThen(pm.cfg.ReleaseCall, w.releaseFn)
+}
+
+//simvet:hot
+func (w *Worker) release() {
+	pm, vpns, prios := w.pm, w.vpns, w.prios
+	w.vpns, w.prios = nil, nil
 	for _, vpn := range vpns {
 		pm.shared.clear(vpn)
 		pm.as.InvalidateForRelease(vpn)
-		batch = append(batch, vpn)
 	}
-	var pbatch []int
-	if prios != nil {
-		pbatch = append(pbatch, prios...)
-	}
-	pm.releaser.Enqueue(pm.as, batch, pbatch)
+	pm.releaser.Enqueue(pm.as, vpns, prios)
 	pm.refresh()
+	w.done()
 }

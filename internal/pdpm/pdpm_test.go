@@ -21,6 +21,18 @@ func (e *testExec) System(d sim.Time) {
 	e.times[vm.BucketSystem] += d
 }
 func (e *testExec) Account(b vm.Bucket, d sim.Time) { e.times[b] += d }
+func (e *testExec) SystemThen(d sim.Time, k func()) {
+	e.System(d)
+	k()
+}
+
+// prefetch runs one prefetch request on x's process.
+func (r *rig) prefetch(x *testExec, vpn int) { r.pm.NewWorker(x, func() {}).Prefetch(vpn) }
+
+// release runs one release request on x's process.
+func (r *rig) release(x *testExec, vpns, prios []int) {
+	r.pm.NewWorker(x, func() {}).Release(vpns, prios)
+}
 
 type rig struct {
 	s        *sim.Sim
@@ -141,12 +153,12 @@ func TestImmediateUpdatesAblation(t *testing.T) {
 func TestPrefetchStatsBreakdown(t *testing.T) {
 	r := newRig(4, 64, Config{MinFree: 0})
 	r.inProc(func(x *testExec) {
-		r.pm.Prefetch(x, 0) // read
-		r.pm.Prefetch(x, 0) // already in
-		r.pm.Prefetch(x, 1)
-		r.pm.Prefetch(x, 2)
-		r.pm.Prefetch(x, 3)
-		r.pm.Prefetch(x, 4) // memory full: discarded
+		r.prefetch(x, 0) // read
+		r.prefetch(x, 0) // already in
+		r.prefetch(x, 1)
+		r.prefetch(x, 2)
+		r.prefetch(x, 3)
+		r.prefetch(x, 4) // memory full: discarded
 	})
 	st := r.pm.Stats
 	if st.PrefetchRead != 4 || st.PrefetchAlreadyIn != 1 || st.PrefetchDiscarded != 1 {
@@ -162,7 +174,7 @@ func TestReleaseClearsBitsImmediately(t *testing.T) {
 	r.inProc(func(x *testExec) {
 		r.as.Touch(x, 0, false)
 		r.as.Touch(x, 1, false)
-		r.pm.Release(x, []int{0, 1}, nil)
+		r.release(x, []int{0, 1}, nil)
 		// Bits are cleared at request time, before the releaser runs.
 		if r.pm.Shared().Test(0) || r.pm.Shared().Test(1) {
 			t.Error("bits not cleared at release-request time")
@@ -178,7 +190,7 @@ func TestReferenceAfterReleaseRequestSetsBitAgain(t *testing.T) {
 	r := newRig(16, 64, Config{MinFree: 2})
 	r.inProc(func(x *testExec) {
 		r.as.Touch(x, 0, false)
-		r.pm.Release(x, []int{0}, nil)
+		r.release(x, []int{0}, nil)
 		// Touch before the releaser runs: the soft fault re-sets the
 		// bit, and the releaser must then skip the page.
 		r.as.Touch(x, 0, false)
@@ -240,7 +252,7 @@ func TestPrefetchChargesSyscallTime(t *testing.T) {
 	r := newRig(16, 64, Config{MinFree: 2})
 	var sys sim.Time
 	r.inProc(func(x *testExec) {
-		r.pm.Prefetch(x, 0)
+		r.prefetch(x, 0)
 		sys = x.times[vm.BucketSystem]
 	})
 	if sys < 20*sim.Microsecond {

@@ -12,11 +12,13 @@
 //     (Figure 6(b)) and drained — lowest priority first, round-robin
 //     within a priority level — only when the process nears the memory
 //     limit published by the OS, 100 pages at a time.
+//
+// Each worker thread is a step process (sim.SpawnStep) with no
+// goroutine: its loop and the prefetch and release requests it runs
+// (pdpm.Worker) are chains of event callbacks, bound once per worker.
 package rt
 
 import (
-	"sort"
-
 	"memhogs/internal/chaos"
 	"memhogs/internal/compiler"
 	"memhogs/internal/events"
@@ -188,6 +190,9 @@ type Layer struct {
 
 	lastRel map[int]int64
 	queues  map[int]*relQueue
+	// byPrio holds the queues in (prio, tag) order, the order drain
+	// visits them in; a queue is placed when it is created.
+	byPrio []*relQueue
 
 	// ev is the system's flight recorder, captured at New; nil when
 	// recording is off.
@@ -229,7 +234,11 @@ func New(p *kernel.Process, pm *pdpm.PM, cfg Config) *Layer {
 			panic("rt: hinted mode requires a PagingDirected PM")
 		}
 		for i := 0; i < cfg.Workers; i++ {
-			p.SpawnThread("pf", l.worker)
+			w := &worker{l: l}
+			w.loopFn, w.doneFn = w.loop, w.done
+			x := p.SpawnWorker("pf", w.loopFn)
+			w.p = x.Proc()
+			w.pm = pm.NewWorker(x, w.doneFn)
 		}
 	}
 	if cfg.Mode == ModeReactive {
@@ -252,25 +261,16 @@ func (l *Layer) donate(max int) []int {
 // from the lowest-priority queues first, round-robin by tag within a
 // priority level.
 func (l *Layer) drain(max int) (pages, prios []int) {
-	// Group queues by priority, ascending.
-	byPrio := map[int][]*relQueue{}
-	var levels []int
-	for _, q := range l.queues {
-		if q.len() == 0 {
-			continue
+	for lo := 0; lo < len(l.byPrio) && len(pages) < max; {
+		hi := lo + 1
+		for hi < len(l.byPrio) && l.byPrio[hi].prio == l.byPrio[lo].prio {
+			hi++
 		}
-		if len(byPrio[q.prio]) == 0 {
-			levels = append(levels, q.prio)
-		}
-		byPrio[q.prio] = append(byPrio[q.prio], q)
-	}
-	sort.Ints(levels)
-	for _, prio := range levels {
-		qs := byPrio[prio]
-		sort.Slice(qs, func(i, j int) bool { return qs[i].tag < qs[j].tag })
+		level := l.byPrio[lo:hi]
+		lo = hi
 		for len(pages) < max {
 			progress := false
-			for _, q := range qs {
+			for _, q := range level {
 				if q.len() == 0 || len(pages) >= max {
 					continue
 				}
@@ -282,11 +282,22 @@ func (l *Layer) drain(max int) (pages, prios []int) {
 				break
 			}
 		}
-		if len(pages) >= max {
-			break
-		}
 	}
 	return pages, prios
+}
+
+// addQueue creates tag's release queue and places it in byPrio.
+func (l *Layer) addQueue(tag, prio int) *relQueue {
+	q := &relQueue{tag: tag, prio: prio}
+	l.queues[tag] = q
+	i := len(l.byPrio)
+	for i > 0 && (l.byPrio[i-1].prio > prio || l.byPrio[i-1].prio == prio && l.byPrio[i-1].tag > tag) {
+		i--
+	}
+	l.byPrio = append(l.byPrio, nil)
+	copy(l.byPrio[i+1:], l.byPrio[i:])
+	l.byPrio[i] = q
+	return q
 }
 
 // Bind attaches the main application thread; must be called from the
@@ -440,8 +451,7 @@ func (l *Layer) release1(tag int, prio int, page int64) {
 
 	q := l.queues[tag]
 	if q == nil {
-		q = &relQueue{tag: tag, prio: prio}
-		l.queues[tag] = q
+		q = l.addQueue(tag, prio)
 	}
 	if q.len() >= l.cfg.MaxQueue {
 		l.Stats.ReleaseOverflow++
@@ -513,18 +523,53 @@ func (l *Layer) Flush() {
 	}
 }
 
-// worker is the body of one prefetch/release thread.
-func (l *Layer) worker(t *kernel.Thread) {
-	for {
-		for l.work.len() == 0 {
-			l.workWait.Wait(t.Proc())
+// worker is one prefetch/release thread: a step process that takes
+// work from the layer's queue and runs it through its pdpm.Worker,
+// whose done hands it back. Its steps are bound once.
+type worker struct {
+	l  *Layer
+	p  *sim.Proc
+	pm *pdpm.Worker
+
+	busy    bool // an item is in service
+	looping bool // loop is on the stack
+
+	loopFn, doneFn func()
+}
+
+// loop takes items while there are any, and parks on the layer's wait
+// queue when there are none; it is also what a wake-up resumes, and it
+// re-checks the queue then, since another worker may have taken the
+// item. An item that ends at once is followed by the next in this
+// loop, not in a nested call.
+//
+//simvet:hot
+func (w *worker) loop() {
+	l := w.l
+	w.looping = true
+	for !w.busy {
+		if l.work.len() == 0 {
+			l.workWait.WaitThen(w.p, w.loopFn)
+			break
 		}
 		item := l.work.pop()
+		w.busy = true
 		switch item.kind {
 		case workPf:
-			l.pm.Prefetch(t.Exec(), item.page)
+			w.pm.Prefetch(item.page)
 		case workRel:
-			l.pm.Release(t.Exec(), item.pages, item.prios)
+			w.pm.Release(item.pages, item.prios)
 		}
+	}
+	w.looping = false
+}
+
+// done ends an item.
+//
+//simvet:hot
+func (w *worker) done() {
+	w.busy = false
+	if !w.looping {
+		w.loop()
 	}
 }

@@ -452,3 +452,36 @@ func TestFIFOOrderAcrossCompaction(t *testing.T) {
 		t.Fatal("the queue never compacted; the test does not reach the move")
 	}
 }
+
+// TestDrainOrderAcrossLevels creates queues out of (prio, tag) order
+// over three priority levels and drains them in two calls, the first
+// stopping in the middle of a level's round. Pages leave lowest
+// priority first and round-robin by ascending tag within a level.
+func TestDrainOrderAcrossLevels(t *testing.T) {
+	r := newRig(t, ModeBuffered, nil)
+	var first, second, firstPrios []int
+	r.drive(func(th *kernel.Thread) {
+		for vpn := 0; vpn < 64; vpn++ {
+			r.layer.Touch(int64(vpn), false)
+		}
+		// tag: priority, pages released (the first is only recorded).
+		for i, q := range []struct{ tag, prio, n int }{
+			{9, 3, 3}, {2, 5, 2}, {4, 1, 4}, {7, 3, 2}, {1, 1, 2}, {5, 3, 4},
+		} {
+			for k := 0; k < q.n; k++ {
+				r.layer.Release(q.tag, q.prio, int64(10*i+k))
+			}
+		}
+		first, firstPrios = r.layer.drain(6)
+		second, _ = r.layer.drain(100)
+	})
+	if got, want := fmt.Sprint(first), "[40 20 21 22 50 30]"; got != want {
+		t.Errorf("first drain = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(firstPrios), "[1 1 1 1 3 3]"; got != want {
+		t.Errorf("first drain priorities = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(second), "[51 0 52 1 10]"; got != want {
+		t.Errorf("second drain = %s, want %s", got, want)
+	}
+}

@@ -12,15 +12,23 @@ import "fmt"
 // Proc methods that advance or block (Sleep, Park, and everything
 // built on them) must only be called from within the Proc's own body;
 // called anywhere else, they panic.
+//
+// A step process (SpawnStep) has no body and no goroutine. It blocks
+// through the continuation forms (SleepThen, ParkThen and the Then
+// forms of Waitq, Lock and Sem), which record what to run next and
+// return; its resumption event runs that continuation inline in the
+// event loop, with no current process. Locks, semaphores and wait
+// queues hold both kinds in one FIFO.
 type Proc struct {
 	sim      *Sim
 	name     string
 	resume   chan struct{}
 	finished bool
 
-	// parked is true while the process is blocked on a Waitq (as
-	// opposed to sleeping on a timer). Used by Waitq bookkeeping.
-	parked bool
+	// step marks a step process; cont is its continuation, run by its
+	// next resumption.
+	step bool
+	cont func()
 }
 
 // Name returns the process name given at Spawn time.
@@ -48,6 +56,29 @@ func (s *Sim) SpawnAt(t Time, name string, body func(p *Proc)) *Proc {
 	go p.run(body)
 	s.scheduleResume(p, t)
 	return p
+}
+
+// SpawnStep creates a step process named name and schedules its first
+// step, first, to run at the current virtual time, where Spawn would
+// schedule a body's start. A step process never finishes: it is not
+// counted by LiveProcs, and Close has nothing to unwind.
+func (s *Sim) SpawnStep(name string, first func()) *Proc {
+	p := &Proc{sim: s, name: name, step: true, cont: first}
+	s.scheduleResume(p, s.now)
+	return p
+}
+
+// resumeStep runs a step process's continuation for its resumption
+// event.
+//
+//simvet:hot
+func (p *Proc) resumeStep() {
+	k := p.cont
+	if k == nil {
+		panic("sim: step process " + p.name + " resumed with no continuation")
+	}
+	p.cont = nil
+	k()
 }
 
 // run is the process goroutine. A finishing process passes control on
@@ -110,7 +141,7 @@ func (p *Proc) yieldToLoop() {
 // in the meantime.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: %s: negative sleep %d", p.name, d))
+		p.negativeSleep(d)
 	}
 	p.sim.scheduleResume(p, p.sim.now+d)
 	p.yieldToLoop()
@@ -119,10 +150,43 @@ func (p *Proc) Sleep(d Time) {
 // Park blocks the process indefinitely until some other party calls
 // Wake. The caller is responsible for having registered itself
 // somewhere a waker will find it (Waitq does this automatically).
-func (p *Proc) Park() {
-	p.parked = true
-	p.yieldToLoop()
-	p.parked = false
+func (p *Proc) Park() { p.yieldToLoop() }
+
+// negativeSleep panics: a sleep cannot go back in time.
+func (p *Proc) negativeSleep(d Time) {
+	panic(fmt.Sprintf("sim: %s: negative sleep %d", p.name, d))
+}
+
+// SleepThen is Sleep in continuation form: k runs once d has passed.
+// A step process returns at once and k runs from its resumption; a
+// process with a body sleeps and then calls k before returning.
+//
+//simvet:hot
+func (p *Proc) SleepThen(d Time, k func()) {
+	if !p.step {
+		p.Sleep(d)
+		k()
+		return
+	}
+	if d < 0 {
+		p.negativeSleep(d)
+	}
+	p.cont = k
+	p.sim.scheduleResume(p, p.sim.now+d)
+}
+
+// ParkThen is Park in continuation form: k runs once p is woken. A
+// step process returns at once; a process with a body parks and then
+// calls k before returning.
+//
+//simvet:hot
+func (p *Proc) ParkThen(k func()) {
+	if !p.step {
+		p.Park()
+		k()
+		return
+	}
+	p.cont = k
 }
 
 // Wake schedules p to resume at the current virtual time. It is safe

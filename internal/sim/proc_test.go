@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -205,5 +206,104 @@ func TestStopFromProc(t *testing.T) {
 	}
 	if at := s.Run(0); at != 20 || len(log) != 3 || log[1] != "other" || log[2] != "resumed" {
 		t.Fatalf("second Run = %v with log %v, want 20 and [stopped other resumed]", at, log)
+	}
+}
+
+// contend runs four contenders through a schedule that blocks in every
+// way — sleep, a lock, a semaphore, a wait queue — with one of three
+// implementations, and returns the log of what each did when, plus the
+// lock's counters. A callback at 60 wakes every waiter.
+func contend(t *testing.T, kind string) []string {
+	t.Helper()
+	s := New()
+	defer s.Close()
+	l := NewLock("l")
+	m := NewSem("m", 1)
+	q := NewWaitq("q")
+	var log []string
+	logf := func(p *Proc, what string, d Time) {
+		log = append(log, fmt.Sprintf("%d:%s:%s:%d", p.Now(), p.Name(), what, d))
+	}
+	// thenScript is the schedule in continuation form.
+	thenScript := func(p *Proc, i int) {
+		p.SleepThen(Time(i), func() {
+			start := p.Now()
+			locked := func(wait Time) {
+				logf(p, "lock", wait)
+				p.SleepThen(5, func() {
+					l.Release(p)
+					asked := p.Now()
+					granted := func() {
+						logf(p, "sem", p.Now()-asked)
+						p.SleepThen(7, func() {
+							m.Release()
+							q.WaitThen(p, func() { logf(p, "woken", 0) })
+						})
+					}
+					if m.AcquireThen(p, granted) {
+						granted()
+					}
+				})
+			}
+			if l.AcquireThen(p, func() { locked(l.Handed(p, start)) }) {
+				locked(0)
+			}
+		})
+	}
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("c%d", i)
+		switch kind {
+		case "body":
+			s.Spawn(name, func(p *Proc) {
+				p.Sleep(Time(i))
+				logf(p, "lock", l.Acquire(p))
+				p.Sleep(5)
+				l.Release(p)
+				logf(p, "sem", m.Acquire(p))
+				p.Sleep(7)
+				m.Release()
+				q.Wait(p)
+				logf(p, "woken", 0)
+			})
+		case "then-body":
+			s.Spawn(name, func(p *Proc) { thenScript(p, i) })
+		case "step":
+			var p *Proc
+			p = s.SpawnStep(name, func() { thenScript(p, i) })
+		}
+	}
+	s.At(60, q.WakeAll)
+	s.Run(0)
+	return append(log, fmt.Sprintf("lock %d %d %d %d", l.Acquisitions, l.Contended, l.WaitTime, l.HoldTime))
+}
+
+// TestStepProcsMatchBodies: the continuation forms on step processes,
+// the continuation forms on processes with a body, and the blocking
+// forms produce the same schedule.
+func TestStepProcsMatchBodies(t *testing.T) {
+	want := contend(t, "body")
+	if len(want) != 13 {
+		t.Fatalf("body schedule has %d entries, want 13: %v", len(want), want)
+	}
+	for _, kind := range []string{"then-body", "step"} {
+		if got := contend(t, kind); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s schedule:\n got %v\nwant %v", kind, got, want)
+		}
+	}
+}
+
+// TestStepProcResumedWithoutContinuationPanics: a spurious wake-up of a
+// step process that is not blocked is a bug in its steps.
+func TestStepProcResumedWithoutContinuationPanics(t *testing.T) {
+	s := New()
+	var p *Proc
+	p = s.SpawnStep("w", func() { p.Wake() })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run(0)
+		return nil
+	}()
+	if want := "sim: step process w resumed with no continuation"; got != want {
+		t.Fatalf("Run panicked with %v, want %q", got, want)
 	}
 }

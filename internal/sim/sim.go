@@ -21,10 +21,13 @@
 //
 // The rest of the system is built from three primitives defined here:
 // timed events, parkable processes, and wait queues (from which locks
-// and semaphores are derived). Daemons and workloads are processes;
-// disks are event-driven servers, chains of timed callbacks with no
-// process of their own, because a page-in or page-out would otherwise
-// cost several goroutine switches. An event callback runs with no
+// and semaphores are derived). Only the daemons and the hogs (the
+// processes running workload code) have a body and a goroutine. Disks
+// are event-driven servers, chains of timed callbacks with no process
+// of their own, and the run-time layer's workers are step processes
+// (SpawnStep), whose resumptions run continuations inline, because a
+// page-in, a page-out or a prefetch would otherwise cost several
+// goroutine switches. An event callback, a step included, runs with no
 // current process and must not block one.
 package sim
 
@@ -179,6 +182,8 @@ func (s *Sim) next() *Proc {
 		s.now = at
 		if p == nil {
 			fn()
+		} else if p.step {
+			p.resumeStep()
 		} else if !p.finished {
 			s.current = p
 			return p

@@ -19,6 +19,16 @@ func (q *Waitq) Wait(p *Proc) {
 	p.Park()
 }
 
+// WaitThen is Wait in continuation form (see Proc.ParkThen): k runs
+// once a waker releases p.
+//
+//simvet:hot
+func (q *Waitq) WaitThen(p *Proc, k func()) {
+	//simvet:allow SV006 grows to the queue's high-water mark once
+	q.procs = append(q.procs, p)
+	p.ParkThen(k)
+}
+
 // WakeOne wakes the longest-waiting process, if any, and reports
 // whether one was woken.
 func (q *Waitq) WakeOne() bool {
@@ -70,17 +80,50 @@ func (l *Lock) Name() string { return l.name }
 // Acquire blocks p until it owns the lock and returns the time spent
 // waiting (zero when uncontended).
 func (l *Lock) Acquire(p *Proc) Time {
+	start := p.Now()
+	if l.enter(p) {
+		return 0
+	}
+	p.Park()
+	return l.Handed(p, start)
+}
+
+// AcquireThen is Acquire in continuation form. It reports true when p
+// took the free lock at once. Otherwise p joins the FIFO and parks
+// (see Proc.ParkThen), and k runs once Release has handed p the lock;
+// k must begin with Handed.
+//
+//simvet:hot
+func (l *Lock) AcquireThen(p *Proc, k func()) bool {
+	if l.enter(p) {
+		return true
+	}
+	p.ParkThen(k)
+	return false
+}
+
+// enter takes the lock for p if it is free, or queues p behind the
+// current owner.
+//
+//simvet:hot
+func (l *Lock) enter(p *Proc) bool {
 	l.Acquisitions++
 	if l.owner == nil {
 		l.owner = p
 		l.acquiredAt = p.Now()
-		return 0
+		return true
 	}
 	l.Contended++
-	start := p.Now()
+	//simvet:allow SV006 grows to the lock's high-water mark once
 	l.waiters = append(l.waiters, p)
-	p.Park()
-	// Ownership was transferred to us by Release before the wake.
+	return false
+}
+
+// Handed ends a wait for the lock that began at start: it checks that
+// Release handed ownership to p, books the wait, and returns it.
+//
+//simvet:hot
+func (l *Lock) Handed(p *Proc, start Time) Time {
 	if l.owner != p {
 		panic("sim: lock ownership not transferred to woken waiter")
 	}
@@ -120,15 +163,11 @@ func (l *Lock) Release(p *Proc) {
 	next.Wake()
 }
 
-// Sem is a FIFO counting semaphore with wait-time accounting.
+// Sem is a FIFO counting semaphore.
 type Sem struct {
 	name    string
 	tokens  int
 	waiters []*Proc
-
-	Acquisitions int64
-	Contended    int64
-	WaitTime     Time
 }
 
 // NewSem creates a semaphore with n initial tokens.
@@ -137,19 +176,37 @@ func NewSem(name string, n int) *Sem { return &Sem{name: name, tokens: n} }
 // Acquire takes one token, blocking p if none are available, and
 // returns the time spent waiting.
 func (m *Sem) Acquire(p *Proc) Time {
-	m.Acquisitions++
+	start := p.Now()
+	if !m.enter(p) {
+		p.Park() // Release hands the token over directly
+	}
+	return p.Now() - start
+}
+
+// AcquireThen is Acquire in continuation form. It reports true when p
+// took a free token at once. Otherwise p joins the FIFO and parks (see
+// Proc.ParkThen), and k runs once Release has handed p a token.
+//
+//simvet:hot
+func (m *Sem) AcquireThen(p *Proc, k func()) bool {
+	if m.enter(p) {
+		return true
+	}
+	p.ParkThen(k)
+	return false
+}
+
+// enter takes a free token for p, or queues p.
+//
+//simvet:hot
+func (m *Sem) enter(p *Proc) bool {
 	if m.tokens > 0 {
 		m.tokens--
-		return 0
+		return true
 	}
-	m.Contended++
-	start := p.Now()
+	//simvet:allow SV006 grows to the semaphore's high-water mark once
 	m.waiters = append(m.waiters, p)
-	p.Park()
-	// The token was handed to us directly by Release.
-	wait := p.Now() - start
-	m.WaitTime += wait
-	return wait
+	return false
 }
 
 // Release returns one token, handing it directly to the

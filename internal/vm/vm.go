@@ -70,6 +70,11 @@ type Exec interface {
 	// System consumes d of CPU time in system mode (contending for a
 	// CPU with everyone else).
 	System(d sim.Time)
+	// SystemThen is System in continuation form (see
+	// sim.Proc.SleepThen): k runs once the charge is done. On a step
+	// process it returns at once; on a process with a body it charges
+	// and then calls k before returning.
+	SystemThen(d sim.Time, k func())
 	// Account attributes d of elapsed stall time to bucket b.
 	Account(b Bucket, d sim.Time)
 }
@@ -228,6 +233,8 @@ type AS struct {
 
 	ioWait  *sim.Waitq // waiters on in-flight page-ins
 	watcher Watcher
+
+	freeReqs *ioReq // recycled disk requests
 
 	// inflight registers every page-in operation (demand fault,
 	// readahead, prefetch) for the whole time its PTE is Busy —
@@ -505,11 +512,13 @@ func (as *AS) fault(x Exec, vpn int, write bool) Outcome {
 		as.Memlock.Release(p)
 		frame, memWait := as.phys.Alloc(p, as, vpn)
 		x.Account(BucketStallMem, memWait)
-		as.promoteIn(x, vpn, frame, dirty, viaFault)
+		as.promoteIn(x, vpn, frame, dirty)
 	case pte.Frame != mem.NoFrame && !as.params.NoRescue:
 		// The old frame is still on the free list: rescue it.
 		outcome = RescueFault
-		if !as.rescue(x, pte, vpn, viaFault) {
+		as.countRescue(vpn, viaFault)
+		x.System(as.params.RescueTime)
+		if !as.rescued(pte, vpn, viaFault) {
 			// The frame was reallocated during the charge: retry
 			// from scratch, which takes the hard-fault path.
 			as.Memlock.Release(p)
@@ -532,7 +541,7 @@ func (as *AS) fault(x Exec, vpn int, write bool) Outcome {
 		as.Memlock.Release(p)
 		frame, memWait := as.phys.Alloc(p, as, vpn)
 		x.Account(BucketStallMem, memWait)
-		as.readIn(x, vpn, frame, viaFault)
+		as.readIn(x, vpn, frame)
 	}
 
 	if write && pte.Present {
@@ -552,7 +561,9 @@ func (as *AS) fault(x Exec, vpn int, write bool) Outcome {
 // read. Only a demand fault leaves the page valid (§3.1.2's second
 // exception); each caller keeps its own CPU charge, frame allocation
 // (the first exception: a prefetch never waits for memory) and lock
-// release.
+// release. A step that waits comes in halves, before and after the
+// wait: the demand fault blocks between them, a Prefetcher runs the
+// second half as a continuation.
 const (
 	viaFault    int64 = 0
 	viaAsync    int64 = 1
@@ -588,20 +599,34 @@ func (as *AS) takeFromFar(pte *PTE, vpn int) (dirty bool) {
 	return dirty
 }
 
-// promoteIn copies a page taken from the far tier into frame at the
-// tier's latency (stretched by injected FarSlow faults), then retakes
-// Memlock and installs it with the slot's dirty bit. The caller has
-// released Memlock; promoteIn returns holding it.
-func (as *AS) promoteIn(x Exec, vpn int, frame *mem.Frame, dirty bool, via int64) {
+// promoteIn is a demand fault's far-tier copy: it copies a page taken
+// from the far tier into frame at the tier's latency (stretched by
+// injected FarSlow faults), then retakes Memlock and installs it with
+// the slot's dirty bit. The caller has released Memlock; promoteIn
+// returns holding it.
+func (as *AS) promoteIn(x Exec, vpn int, frame *mem.Frame, dirty bool) {
 	p := x.Proc()
-	lat := as.params.FarLatency
-	if extra := as.Chaos.FireDelay(chaos.FarSlow, as.name); extra > 0 {
-		lat += extra
-	}
+	lat := as.promoteLatency()
 	start := p.Now()
 	p.Sleep(lat)
 	x.Account(BucketStallIO, p.Now()-start)
 	as.lock(x)
+	as.promoted(vpn, frame, dirty, viaFault)
+}
+
+// promoteLatency is a far-tier copy's duration: the tier's latency
+// plus any injected FarSlow spike.
+func (as *AS) promoteLatency() sim.Time {
+	lat := as.params.FarLatency
+	if extra := as.Chaos.FireDelay(chaos.FarSlow, as.name); extra > 0 {
+		lat += extra
+	}
+	return lat
+}
+
+// promoted installs a page copied out of the far tier into frame, with
+// the slot's dirty bit. Caller holds Memlock.
+func (as *AS) promoted(vpn int, frame *mem.Frame, dirty bool, via int64) {
 	frame.Dirty = dirty
 	as.Stats.Promotions++
 	var d int64
@@ -612,50 +637,62 @@ func (as *AS) promoteIn(x Exec, vpn int, frame *mem.Frame, dirty bool, via int64
 	as.finishPageIn(vpn, frame, via)
 }
 
-// readIn reads vpn from swap into frame, parked until the disk
-// completes, then retakes Memlock and installs the page. The caller
-// has released Memlock; readIn returns holding it.
-func (as *AS) readIn(x Exec, vpn int, frame *mem.Frame, via int64) {
+// readIn is a demand fault's swap read: it reads vpn from swap into
+// frame, parked until the disk completes, then retakes Memlock and
+// installs the page. The caller has released Memlock; readIn returns
+// holding it.
+func (as *AS) readIn(x Exec, vpn int, frame *mem.Frame) {
 	p := x.Proc()
 	start := p.Now()
-	done := false
-	as.disks.Submit(as.swapPage(vpn), &disk.Request{
-		Op: disk.Read,
-		Done: func() {
-			done = true
-			p.Wake()
-		},
-	})
-	for !done {
+	r := as.submitRead(vpn, p)
+	for !r.done {
 		p.Park()
 	}
-	x.Account(BucketStallIO, p.Now()-start)
-	as.Stats.PageIns++
-	as.Events.Emit(events.PageIn, as.name, "", vpn, via, 0)
+	as.putReq(r)
+	as.pagedIn(x, vpn, viaFault, start)
 	as.lock(x)
-	as.finishPageIn(vpn, frame, via)
+	as.finishPageIn(vpn, frame, viaFault)
 }
 
-// rescue takes vpn's old frame back off the free list, without I/O.
-// Charging RescueTime can deschedule the caller, and another process's
-// Alloc can then take the frame and invalidate the mapping
-// (FrameInvalidated does not take the memory lock), so rescue re-checks
-// the frame after the charge and returns false when it is gone, and
-// the caller then pages the page in without it. A demand fault is
-// counted before its service time is charged, a prefetch's rescue only
-// once it has succeeded. Caller holds Memlock.
-func (as *AS) rescue(x Exec, pte *PTE, vpn int, via int64) bool {
-	if via == viaFault {
-		as.Stats.RescueFaults++
-		as.Events.Emit(events.FaultRescue, as.name, "", vpn, via, 0)
-	}
-	x.System(as.params.RescueTime)
+// submitRead starts the swap read of vpn for a reader that parks until
+// the request's done is set; the reader wakes, sees done and recycles
+// the request.
+func (as *AS) submitRead(vpn int, reader *sim.Proc) *ioReq {
+	r := as.newReq(disk.Read)
+	r.reader = reader
+	as.disks.Submit(as.swapPage(vpn), &r.Request)
+	return r
+}
+
+// pagedIn books a swap read that began at start and has completed.
+func (as *AS) pagedIn(x Exec, vpn int, via int64, start sim.Time) {
+	x.Account(BucketStallIO, x.Proc().Now()-start)
+	as.Stats.PageIns++
+	as.Events.Emit(events.PageIn, as.name, "", vpn, via, 0)
+}
+
+// A rescue takes vpn's old frame back off the free list, without I/O,
+// in two halves around its RescueTime charge. The charge can
+// deschedule the caller, and another process's Alloc can then take the
+// frame and invalidate the mapping (FrameInvalidated does not take the
+// memory lock), so rescued re-checks the frame and returns false when
+// it is gone; the caller then pages the page in without it. A demand
+// fault is counted (countRescue) before its service time is charged, a
+// prefetch's rescue only once it has succeeded. Caller holds Memlock.
+
+// countRescue counts one rescue.
+func (as *AS) countRescue(vpn int, via int64) {
+	as.Stats.RescueFaults++
+	as.Events.Emit(events.FaultRescue, as.name, "", vpn, via, 0)
+}
+
+// rescued is a rescue's second half, after the charge.
+func (as *AS) rescued(pte *PTE, vpn int, via int64) bool {
 	if pte.Frame == mem.NoFrame {
 		return false
 	}
 	if via != viaFault {
-		as.Stats.RescueFaults++
-		as.Events.Emit(events.FaultRescue, as.name, "", vpn, via, 0)
+		as.countRescue(vpn, via)
 	}
 	as.phys.Rescue(as.phys.Frame(pte.Frame))
 	as.mapIn(pte, vpn, via)
@@ -707,96 +744,72 @@ func (as *AS) readahead(vpn int) {
 	}
 	as.beginPageIn(pte, vpn)
 	as.Stats.ReadaheadIns++
-	as.disks.Submit(as.swapPage(vpn), &disk.Request{
-		Op: disk.Read,
-		Done: func() {
-			as.Stats.PageIns++
-			as.Events.Emit(events.PageIn, as.name, "", vpn, viaAsync, 0)
-			as.finishPageIn(vpn, frame, viaAsync)
-		},
-	})
+	r := as.newReq(disk.Read)
+	r.vpn, r.frame = vpn, frame
+	as.disks.Submit(as.swapPage(vpn), &r.Request)
 }
 
-// PrefetchResult classifies what a prefetch request did.
-type PrefetchResult int8
+// ioReq is a disk request of the address space's, recycled through a
+// free list so that an I/O allocates nothing: its Done, complete, is
+// bound once. The disk lets go of a request before it calls Done, so
+// complete may recycle it; a reader's request is recycled by the
+// reader once it has seen done.
+type ioReq struct {
+	disk.Request
+	as     *AS
+	vpn    int        // readahead: the page read
+	frame  *mem.Frame // readahead: the frame it lands in
+	reader *sim.Proc  // a parked reader (readIn, a prefetch) to wake
+	done   bool       // the reader's read has completed
+	next   *ioReq     // free-list link
+}
 
-// Prefetch outcomes.
-const (
-	PrefetchAlreadyIn PrefetchResult = iota
-	PrefetchDiscarded                // no free memory (§3.1.2)
-	PrefetchRescued
-	PrefetchRead
-	PrefetchPromoted // promoted from the far tier at far-tier latency
-)
-
-// Prefetch brings vpn into memory on behalf of the owning process,
-// performing "actions similar to those that occur for a page fault,
-// with two notable exceptions": it is discarded immediately when no
-// free memory exists, and the page is left *invalid* (no TLB entry) so
-// the first real reference revalidates it (§3.1.2). The caller is a
-// prefetch worker thread, whose stall time is deliberately not charged
-// to the application.
-func (as *AS) Prefetch(x Exec, vpn int) PrefetchResult {
-	p := x.Proc()
-	pte := &as.ptes[vpn]
-	if pte.Busy || pte.Present {
-		return PrefetchAlreadyIn
+// newReq takes a request off the free list, or makes one.
+//
+//simvet:hot
+func (as *AS) newReq(op disk.Op) *ioReq {
+	r := as.freeReqs
+	if r == nil {
+		//simvet:allow SV006 the free list grows to the peak number of I/Os in flight once
+		r = &ioReq{as: as}
+		//simvet:allow SV006 bound once per request, which is then recycled
+		r.Done = r.complete
+	} else {
+		as.freeReqs = r.next
+		r.next = nil
 	}
-
-	as.lock(x)
-	r := as.prefetchLocked(x, pte, vpn)
-	as.Memlock.Release(p)
-	as.notifyActivity()
+	r.Op = op
 	return r
 }
 
-// prefetchLocked is Prefetch's body, entered and left with the memlock
-// held. The paths that read or promote the page drop the lock while
-// they wait and take it again before returning. Prefetch releases it
-// straight-line rather than by defer: a worker unwound by sim.Close
-// while parked waiting to re-take the lock does not own it.
-func (as *AS) prefetchLocked(x Exec, pte *PTE, vpn int) PrefetchResult {
-	p := x.Proc()
-	if pte.Busy || pte.Present {
-		return PrefetchAlreadyIn
-	}
-	// Rescue from the free list; cheap, no I/O. A rescue that loses its
-	// frame falls through to the swap read: the lock is still held, so
-	// nothing else about the page can have changed.
-	if pte.Frame != mem.NoFrame && !as.params.NoRescue && as.rescue(x, pte, vpn, viaAsync) {
-		return PrefetchRescued
-	}
-	as.forgetFrame(pte)
+// putReq returns a request to the free list.
+//
+//simvet:hot
+func (as *AS) putReq(r *ioReq) {
+	r.frame, r.reader, r.done = nil, nil, false
+	r.next = as.freeReqs
+	as.freeReqs = r
+}
 
-	// "If there is no free memory, the request is discarded
-	// immediately. This feature prevents memory from being stolen to
-	// satisfy prefetches when the demand for memory is high."
-	frame, ok := as.phys.TryAlloc(as, vpn)
-	if !ok {
-		return PrefetchDiscarded
+// complete is every request's Done: it wakes a reader, installs a
+// readahead page, or (a writeback) only recycles the request.
+//
+//simvet:hot
+func (r *ioReq) complete() {
+	as := r.as
+	switch {
+	case r.reader != nil:
+		r.done = true
+		r.reader.Wake()
+	case r.Op == disk.Read:
+		vpn, frame := r.vpn, r.frame
+		as.putReq(r)
+		as.Stats.PageIns++
+		as.Events.Emit(events.PageIn, as.name, "", vpn, viaAsync, 0)
+		as.finishPageIn(vpn, frame, viaAsync)
+	default:
+		as.putReq(r)
 	}
-	if pte.FarSlot != mem.NoFarSlot {
-		// Demoted page: promote it out of the far tier instead of
-		// reading the stale swap copy.
-		dirty := as.takeFromFar(pte, vpn)
-		x.System(as.params.FarCPU)
-		as.Memlock.Release(p)
-		as.promoteIn(x, vpn, frame, dirty, viaAsync)
-		return PrefetchPromoted
-	}
-	// Mark the page in flight before anything can block (the System
-	// charge yields the CPU): the allocated frame must always be
-	// traceable through the Busy bit.
-	as.beginPageIn(pte, vpn)
-	x.System(as.params.HardFaultCPU)
-	// "performs actions similar to those that occur for a page fault":
-	// that includes swap-in clustering.
-	for k := 1; k < as.params.Readahead; k++ {
-		as.readahead(vpn + k)
-	}
-	as.Memlock.Release(p)
-	as.readIn(x, vpn, frame, viaPrefetch)
-	return PrefetchRead
 }
 
 // InvalidateForRelease clears the mapping validity for a pending
@@ -924,7 +937,7 @@ func (as *AS) MarkClockCandidate(vpn int) {
 // occupies the disk.
 func (as *AS) WriteBack(vpn int) {
 	as.Stats.Writebacks++
-	as.disks.Submit(as.swapPage(vpn), &disk.Request{Op: disk.Write})
+	as.disks.Submit(as.swapPage(vpn), &as.newReq(disk.Write).Request)
 }
 
 // Phys exposes the physical pool.

@@ -21,6 +21,10 @@ func (e *testExec) System(d sim.Time) {
 	e.times[BucketSystem] += d
 }
 func (e *testExec) Account(b Bucket, d sim.Time) { e.times[b] += d }
+func (e *testExec) SystemThen(d sim.Time, k func()) {
+	e.System(d)
+	k()
+}
 
 func testParams() Params {
 	return Params{
