@@ -36,8 +36,13 @@ import (
 //     reconcile; used far slots = far-resident PTEs + slots kept by
 //     exited owners; and the far tier's own free/offline structures
 //     validate.
+//
+// Audit allocates nothing on a clean system once it has run: its
+// working memory (auditScratch) is kept across audits.
 func (sys *System) Audit() error {
 	phys := sys.Phys
+	sc := &sys.audit
+	epoch := sc.begin(sys)
 
 	// Pass 0: per-node free-list invariants straight from the
 	// allocator — list structure, loan bookkeeping (listNode), per-node
@@ -48,11 +53,6 @@ func (sys *System) Audit() error {
 
 	// Pass 1: per-frame checks, collecting the identity of every
 	// allocated (non-free, non-offline) frame.
-	type key struct {
-		owner string
-		vpn   int
-	}
-	owners := map[key]mem.FrameID{}
 	free, offline := 0, 0
 	for i := 0; i < phys.NumFrames(); i++ {
 		f := phys.Frame(mem.FrameID(i))
@@ -78,12 +78,13 @@ func (sys *System) Audit() error {
 		if f.Owner == nil {
 			return fmt.Errorf("audit: frame %d neither free nor owned", f.ID)
 		}
-		k := key{f.Owner.OwnerName(), f.VPN}
-		if prev, dup := owners[k]; dup {
-			return fmt.Errorf("audit: page %s:%d owned by frames %d and %d",
-				k.owner, k.vpn, prev, f.ID)
+		if c := sc.page(sys, f.Owner, f.VPN); c != nil {
+			if c.epoch == epoch {
+				return fmt.Errorf("audit: page %s:%d owned by frames %d and %d",
+					f.Owner.OwnerName(), f.VPN, c.frame, f.ID)
+			}
+			*c = pageClaim{epoch: epoch, frame: f.ID}
 		}
-		owners[k] = f.ID
 	}
 	if free != phys.FreeCount() {
 		return fmt.Errorf("audit: free-list count %d != %d frames marked free",
@@ -99,10 +100,8 @@ func (sys *System) Audit() error {
 	// frame, Busy pages claim the frame allocated for their page-in
 	// (which carries their identity but is not yet wired into the
 	// PTE).
-	matched := map[mem.FrameID]bool{}
-	slotOwners := map[mem.FarSlotID]string{}
 	residentTotal, inTransit, farTotal := 0, 0, 0
-	for _, p := range sys.procs {
+	for pi, p := range sys.procs {
 		as := p.AS
 		resident, busy, far := 0, 0, 0
 		for vpn := 0; vpn < as.NumPages(); vpn++ {
@@ -133,11 +132,12 @@ func (sys *System) Audit() error {
 					return fmt.Errorf("audit: %s:%d far slot %d identity mismatch (%v:%d)",
 						p.Name, vpn, s.ID, s.Owner, s.VPN)
 				}
-				if prev, dup := slotOwners[s.ID]; dup {
+				if c := &sc.slots[s.ID]; c.epoch == epoch {
+					prev := fmt.Sprintf("%s:%d", sys.procs[c.proc].Name, c.vpn)
 					return fmt.Errorf("audit: far slot %d claimed by both %s and %s:%d",
 						s.ID, prev, p.Name, vpn)
 				}
-				slotOwners[s.ID] = fmt.Sprintf("%s:%d", p.Name, vpn)
+				sc.slots[s.ID] = slotClaim{epoch: epoch, proc: int32(pi), vpn: int32(vpn)}
 				far++
 			}
 			switch {
@@ -157,8 +157,8 @@ func (sys *System) Audit() error {
 				// The page-in's frame may not exist yet (the fault may
 				// still be waiting for free memory); once allocated it
 				// carries our identity.
-				if id, ok := owners[key{p.Name, vpn}]; ok {
-					matched[id] = true
+				if c := sc.pages[pi][vpn]; c.epoch == epoch {
+					sc.matched[c.frame] = epoch
 					inTransit++
 				}
 			case pte.Present:
@@ -179,7 +179,7 @@ func (sys *System) Audit() error {
 					return fmt.Errorf("audit: %s:%d frame %d identity mismatch (%v:%d)",
 						p.Name, vpn, f.ID, f.Owner, f.VPN)
 				}
-				matched[f.ID] = true
+				sc.matched[f.ID] = epoch
 			case pte.Frame != mem.NoFrame:
 				// Rescuable: the frame must be free-listed with our
 				// identity (otherwise FrameInvalidated should have
@@ -248,7 +248,7 @@ func (sys *System) Audit() error {
 		if f.IsOffline() || f.OnFreeList() {
 			continue
 		}
-		if !matched[f.ID] {
+		if sc.matched[f.ID] != epoch {
 			return fmt.Errorf("audit: frame %d (%s:%d) allocated but referenced by no PTE",
 				f.ID, f.Owner.OwnerName(), f.VPN)
 		}
@@ -256,6 +256,62 @@ func (sys *System) Audit() error {
 	if free+offline+residentTotal+inTransit != phys.NumFrames() {
 		return fmt.Errorf("audit: conservation failed: free %d + offline %d + resident %d + in-transit %d != %d frames",
 			free, offline, residentTotal, inTransit, phys.NumFrames())
+	}
+	return nil
+}
+
+// auditScratch is Audit's working memory, indexed by dense ids instead
+// of keyed maps, and kept across audits. An entry counts only when it
+// carries the current audit's epoch, so nothing is cleared between
+// audits.
+type auditScratch struct {
+	epoch   uint32
+	pages   [][]pageClaim // per process (OwnerID), per vpn: the frame carrying that identity
+	slots   []slotClaim   // per far slot: the far-resident PTE naming it
+	matched []uint32      // per frame: the epoch of the audit that found a PTE claiming it
+}
+
+// pageClaim records that an allocated frame carries a page's identity.
+type pageClaim struct {
+	epoch uint32
+	frame mem.FrameID
+}
+
+// slotClaim records that a far-resident PTE names a far slot.
+type slotClaim struct {
+	epoch     uint32
+	proc, vpn int32
+}
+
+// begin sizes the scratch space for sys's frames, far slots and
+// processes, and returns the new audit's epoch.
+func (sc *auditScratch) begin(sys *System) uint32 {
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale entries could match again
+		*sc = auditScratch{epoch: 1}
+	}
+	if n := sys.Phys.NumFrames(); len(sc.matched) != n {
+		sc.matched = make([]uint32, n)
+	}
+	if sys.Far != nil && len(sc.slots) != sys.Far.NumSlots() {
+		sc.slots = make([]slotClaim, sys.Far.NumSlots())
+	}
+	for len(sc.pages) < len(sys.procs) {
+		sc.pages = append(sc.pages, make([]pageClaim, sys.procs[len(sc.pages)].AS.NumPages()))
+	}
+	return sc.epoch
+}
+
+// page returns the claim entry of owner's page vpn, or nil when owner
+// is not the address space of one of sys's processes or vpn is outside
+// it (such a frame is left to the unclaimed-frame check).
+func (sc *auditScratch) page(sys *System, owner mem.Owner, vpn int) *pageClaim {
+	id := owner.OwnerID()
+	if id < 0 || id >= len(sys.procs) || mem.Owner(sys.procs[id].AS) != owner {
+		return nil
+	}
+	if claims := sc.pages[id]; vpn >= 0 && vpn < len(claims) {
+		return &claims[vpn]
 	}
 	return nil
 }

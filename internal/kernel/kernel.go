@@ -46,10 +46,11 @@ type System struct {
 	Chaos *chaos.Injector
 
 	cpus       *sim.Sem
-	DaemonTime [vm.NumBuckets]sim.Time // CPU consumed by the two daemons
+	DaemonTime [vm.NumBuckets]sim.Time // CPU consumed by the daemons
 
 	procs      []*Process
 	pms        []*pdpm.PM
+	audit      auditScratch
 	nextID     int
 	swapCursor int64
 }
@@ -108,12 +109,12 @@ func NewSystem(cfg Config) *System {
 	rcfg := cfg.Releaser
 	rcfg.FarMinPrio = cfg.Far.MinPrio
 	for k := 0; k < nodes; k++ {
-		sys.Daemons = append(sys.Daemons, pageout.NewNodeDaemon(s, sys.Phys, dkcfg, k))
-		sys.Releasers = append(sys.Releasers, pageout.NewNodeReleaser(s, rcfg, k))
+		sys.Daemons = append(sys.Daemons, pageout.NewNodeDaemon(sys.Phys, dkcfg, k))
+		sys.Releasers = append(sys.Releasers, pageout.NewNodeReleaser(rcfg, k))
 	}
 	sys.Daemon, sys.Releaser = sys.Daemons[0], sys.Releasers[0]
 	if nodes > 1 {
-		sys.Balancer = pageout.NewBalancer(s, sys.Phys, dkcfg.MinFree, dkcfg.TargetFree, dkcfg.PerPage)
+		sys.Balancer = pageout.NewBalancer(sys.Phys, dkcfg.MinFree, dkcfg.TargetFree, dkcfg.PerPage)
 	}
 	sys.Phys.NeedMemory = func(node int) {
 		sys.Daemons[node].Kick()
@@ -122,18 +123,15 @@ func NewSystem(cfg Config) *System {
 		}
 	}
 
-	mkExec := func(p *sim.Proc) vm.Exec {
-		return &execCtx{sys: sys, proc: p, times: &sys.DaemonTime, flush: func() {}}
-	}
 	// Interleaved starts keep the historical single-node spawn order
 	// ("pageoutd" then "releaserd") and give each node the same local
 	// ordering.
 	for k := 0; k < nodes; k++ {
-		sys.Daemons[k].Start(mkExec)
-		sys.Releasers[k].Start(mkExec)
+		sys.Daemons[k].Start(sys.spawnDaemon)
+		sys.Releasers[k].Start(sys.spawnDaemon)
 	}
 	if sys.Balancer != nil {
-		sys.Balancer.Start(mkExec)
+		sys.Balancer.Start(sys.spawnDaemon)
 	}
 	return sys
 }
@@ -307,7 +305,8 @@ func (e *execCtx) consume(d sim.Time, b vm.Bucket) {
 	}
 }
 
-// stepExec is the vm.Exec of a step thread (see SpawnWorker). Its
+// stepExec is the vm.Exec of a step thread (see spawnStep): a
+// run-time-layer worker or a system daemon. Its
 // SystemThen is consume as a chain of events: each quantum-sized
 // slice takes a CPU (granted), holds it (sliced) and gives it back,
 // pushing the same events at the same points as consume does.
@@ -480,9 +479,22 @@ func (p *Process) Start(stopSim bool, body func(t *Thread)) *Thread {
 // WorkerTimes. It returns the thread's vm.Exec; Exec.Proc is the step
 // process, which blocks only through the continuation forms.
 func (p *Process) SpawnWorker(name string, start func()) vm.Exec {
-	e := &stepExec{execCtx: execCtx{sys: p.Sys, times: &p.WorkerTimes, flush: func() {}}}
+	return p.Sys.spawnStep(p.Name+"."+name, &p.WorkerTimes, start)
+}
+
+// spawnDaemon is SpawnWorker for the system daemons (a pageout.Spawn):
+// the step process is named name, and its time is accounted to
+// DaemonTime.
+func (sys *System) spawnDaemon(name string, start func()) vm.Exec {
+	return sys.spawnStep(name, &sys.DaemonTime, start)
+}
+
+// spawnStep spawns a step thread named name whose time is accounted
+// to times, and returns its vm.Exec.
+func (sys *System) spawnStep(name string, times *[vm.NumBuckets]sim.Time, start func()) vm.Exec {
+	e := &stepExec{execCtx: execCtx{sys: sys, times: times, flush: func() {}}}
 	e.grantedFn, e.slicedFn = e.granted, e.sliced
-	e.proc = p.Sys.Sim.SpawnStep(p.Name+"."+name, start)
+	e.proc = sys.Sim.SpawnStep(name, start)
 	return e
 }
 

@@ -92,6 +92,10 @@ func (t *FarTier) UsedCount() int {
 // OfflineCount returns the number of hot-unplugged slots.
 func (t *FarTier) OfflineCount() int { return len(t.offlineIDs) }
 
+// NumSlots returns the number of slots, offline ones included; slot
+// ids run from 0 to NumSlots-1.
+func (t *FarTier) NumSlots() int { return len(t.slots) }
+
 // Slot returns the slot with the given id.
 func (t *FarTier) Slot(id FarSlotID) *FarSlot { return &t.slots[id] }
 

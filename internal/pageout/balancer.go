@@ -6,7 +6,6 @@ import (
 	"memhogs/internal/events"
 	"memhogs/internal/mem"
 	"memhogs/internal/sim"
-	"memhogs/internal/vm"
 )
 
 // BalancerStats counts inter-node free-frame migrations.
@@ -25,10 +24,11 @@ type BalancerStats struct {
 // that case rare by smoothing imbalance before allocations hit it.
 // The kernel only creates it when the pool has more than one node, so
 // single-node runs have no extra process on the sim clock.
+//
+// It runs as a step process (see stepper).
 type Balancer struct {
-	sim  *sim.Sim
 	phys *mem.Phys
-	exec vm.Exec
+	st   stepper
 
 	low     int // migrate toward nodes at or below this free count
 	target  int // donors must stay above this after giving
@@ -37,6 +37,11 @@ type Balancer struct {
 
 	wake   *sim.Waitq
 	kicked bool
+
+	// The loop's position: its state and the migration being charged.
+	state       int
+	dst, src, n int
+	nodeNames   []string // "node<k>", the migration events' targets
 
 	Stats BalancerStats
 
@@ -52,15 +57,19 @@ const balancerBatch = 32
 // thresholds: low is the per-node min-free (the wake condition),
 // target the per-node desfree (what a donor must keep). perPage is
 // the CPU charged per migrated frame.
-func NewBalancer(s *sim.Sim, phys *mem.Phys, low, target int, perPage sim.Time) *Balancer {
+func NewBalancer(phys *mem.Phys, low, target int, perPage sim.Time) *Balancer {
+	names := make([]string, phys.Nodes())
+	for k := range names {
+		names[k] = "node" + strconv.Itoa(k)
+	}
 	return &Balancer{
-		sim:     s,
-		phys:    phys,
-		low:     low,
-		target:  target,
-		batch:   balancerBatch,
-		perPage: perPage,
-		wake:    sim.NewWaitq("balancer.wake"),
+		phys:      phys,
+		low:       low,
+		target:    target,
+		batch:     balancerBatch,
+		perPage:   perPage,
+		wake:      sim.NewWaitq("balancer.wake"),
+		nodeNames: names,
 	}
 }
 
@@ -72,14 +81,9 @@ func (b *Balancer) Kick() {
 	b.wake.WakeOne()
 }
 
-// Start launches the balancer process. mk builds the execution
-// context (CPU accounting) from its simulated process.
-func (b *Balancer) Start(mk func(*sim.Proc) vm.Exec) {
-	b.sim.Spawn("balancerd", func(p *sim.Proc) {
-		b.exec = mk(p)
-		b.loop(p)
-	})
-}
+// Start launches the balancer's step process through spawn, which
+// also supplies its CPU accounting.
+func (b *Balancer) Start(spawn Spawn) { b.st.start(spawn, "balancerd", b.step) }
 
 // plan picks one migration: the poorest node at or below low receives
 // from the richest node that can give without dropping to the target.
@@ -120,30 +124,46 @@ func (b *Balancer) plan() (dst, src, n int) {
 	return dst, src, n
 }
 
-func (b *Balancer) loop(p *sim.Proc) {
-	for {
-		for {
-			if _, _, n := b.plan(); n > 0 {
-				break
-			}
+// The balancer's states: where its loop goes on when it runs next.
+const (
+	balIdle  = iota // wait until a migration is due
+	balPlan         // plan the next migration of the activation, or end it
+	balMoved        // the migration's charge is done: move the frames
+)
+
+// step is one transition of the balancer's loop: wait until a node
+// needs frames, then migrate batches, charging perPage per frame,
+// until the plan finds nothing more to move.
+//
+//simvet:hot
+func (b *Balancer) step() {
+	switch b.state {
+	case balIdle:
+		if _, _, n := b.plan(); n <= 0 {
 			b.kicked = false
-			b.wake.Wait(p)
+			b.st.wait(b.wake)
+			return
 		}
 		b.kicked = false
 		b.Stats.Activations++
-		for {
-			dst, src, n := b.plan()
-			if n <= 0 {
-				break
-			}
-			b.exec.System(b.perPage * sim.Time(n))
-			moved := b.phys.Migrate(src, dst, n)
-			if moved == 0 {
-				break
-			}
-			b.Stats.Migrations++
-			b.Stats.FramesMoved += int64(moved)
-			b.Events.Emit(events.BalancerMigrate, "balancerd", "node"+strconv.Itoa(dst), -1, int64(moved), int64(src))
+		b.state = balPlan
+	case balPlan:
+		b.dst, b.src, b.n = b.plan()
+		if b.n <= 0 {
+			b.state = balIdle
+			return
 		}
+		b.state = balMoved
+		b.st.charge(b.perPage * sim.Time(b.n))
+	case balMoved:
+		moved := b.phys.Migrate(b.src, b.dst, b.n)
+		if moved == 0 {
+			b.state = balIdle
+			return
+		}
+		b.Stats.Migrations++
+		b.Stats.FramesMoved += int64(moved)
+		b.Events.Emit(events.BalancerMigrate, "balancerd", b.nodeNames[b.dst], -1, int64(moved), int64(b.src))
+		b.state = balPlan
 	}
 }

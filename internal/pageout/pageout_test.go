@@ -1,6 +1,7 @@
 package pageout
 
 import (
+	"runtime"
 	"testing"
 
 	"memhogs/internal/disk"
@@ -20,9 +21,25 @@ func (e *testExec) System(d sim.Time) {
 	e.times[vm.BucketSystem] += d
 }
 func (e *testExec) Account(b vm.Bucket, d sim.Time) { e.times[b] += d }
+
+// SystemThen charges d as a sleep: on a step process (a daemon) it
+// returns at once and k runs once d has passed. A zero charge runs k
+// at once, as the kernel's does.
 func (e *testExec) SystemThen(d sim.Time, k func()) {
-	e.System(d)
-	k()
+	if d <= 0 {
+		k()
+		return
+	}
+	e.times[vm.BucketSystem] += d
+	e.proc.SleepThen(d, k)
+}
+
+// spawnTest is the daemons' pageout.Spawn: a step process whose CPU
+// charges are plain sleeps.
+func spawnTest(s *sim.Sim) Spawn {
+	return func(name string, start func()) vm.Exec {
+		return &testExec{proc: s.SpawnStep(name, start)}
+	}
 }
 
 type rig struct {
@@ -33,7 +50,11 @@ type rig struct {
 	releaser *Releaser
 }
 
-func newRig(frames int) *rig {
+func newRig(frames int) *rig { return newRigCost(frames, 6*sim.Microsecond, 2*sim.Microsecond) }
+
+// newRigCost is newRig with the daemon's and the releaser's per-page
+// CPU costs.
+func newRigCost(frames int, daemonPerPage, releaserPerPage sim.Time) *rig {
 	s := sim.New()
 	phys := mem.New(s, frames)
 	dk := disk.New(s, disk.Config{
@@ -42,15 +63,15 @@ func newRig(frames int) *rig {
 		SeqPosTime: 600 * sim.Microsecond, TransferTime: 900 * sim.Microsecond,
 		Seed: 1,
 	})
-	daemon := NewNodeDaemon(s, phys, DaemonConfig{
+	daemon := NewNodeDaemon(phys, DaemonConfig{
 		MinFree: 4, TargetFree: 8,
-		PerPage: 6 * sim.Microsecond, Batch: 16,
+		PerPage: daemonPerPage, Batch: 16,
 	}, 0)
 	phys.LowWater = 4
 	phys.NeedMemory = func(int) { daemon.Kick() }
-	releaser := NewNodeReleaser(s, ReleaserConfig{PerPage: 2 * sim.Microsecond, Batch: 8}, 0)
-	daemon.Start(func(p *sim.Proc) vm.Exec { return &testExec{proc: p} })
-	releaser.Start(func(p *sim.Proc) vm.Exec { return &testExec{proc: p} })
+	releaser := NewNodeReleaser(ReleaserConfig{PerPage: releaserPerPage, Batch: 8}, 0)
+	daemon.Start(spawnTest(s))
+	releaser.Start(spawnTest(s))
 	return &rig{s: s, phys: phys, dk: dk, daemon: daemon, releaser: releaser}
 }
 
@@ -367,5 +388,49 @@ func TestDaemonDisabled(t *testing.T) {
 	r.s.Run(0)
 	if r.daemon.Stats.Stolen != 0 {
 		t.Fatal("disabled daemon stole pages")
+	}
+}
+
+// TestFreeChargesDoNotNest runs the daemon and the releaser with a
+// zero per-page cost, so every page's charge ends at once, over
+// batches of 256 frames and 64 pages. Their step loops must go on in
+// the same call rather than nest one per page: every page they free
+// is freed at the same stack depth.
+func TestFreeChargesDoNotNest(t *testing.T) {
+	r := newRigCost(96, 0, 0)
+	r.daemon.cfg.Batch = 256
+	r.releaser.cfg.Batch = 64
+	as := r.newAS("app", 0, 256)
+	lo, hi := -1, -1
+	pcs := make([]uintptr, 4096)
+	r.phys.FreeChanged = func(int) {
+		d := runtime.Callers(0, pcs)
+		if lo < 0 || d < lo {
+			lo = d
+		}
+		if d > hi {
+			hi = d
+		}
+	}
+	r.s.Spawn("app", func(p *sim.Proc) {
+		x := &testExec{proc: p}
+		for vpn := 0; vpn < 200; vpn++ {
+			as.Touch(x, vpn, false)
+		}
+		vpns := make([]int, 0, 64)
+		for vpn := 200 - 64; vpn < 200; vpn++ {
+			if as.IsResident(vpn) {
+				as.InvalidateForRelease(vpn)
+				vpns = append(vpns, vpn)
+			}
+		}
+		r.releaser.Enqueue(as, vpns, nil)
+	})
+	r.s.Run(0)
+	if r.daemon.Stats.Stolen < 64 || r.releaser.Stats.Freed < 32 {
+		t.Fatalf("too little freed to tell: daemon %+v, releaser %+v", r.daemon.Stats, r.releaser.Stats)
+	}
+	if hi-lo > 16 {
+		t.Fatalf("frees ran at stack depths %d to %d: the step loops nest a call per page", lo, hi)
 	}
 }

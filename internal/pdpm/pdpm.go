@@ -218,7 +218,8 @@ type Worker struct {
 	pf   *vm.Prefetcher
 	done func()
 
-	vpn         int
+	vpn, prio   int
+	one         bool // the release in service is of the one page vpn
 	vpns, prios []int
 
 	// The steps, bound once.
@@ -277,23 +278,47 @@ func (w *Worker) prefetched() {
 //
 //simvet:hot
 func (w *Worker) Release(vpns []int, prios []int) {
+	w.vpns, w.prios = vpns, prios
+	w.request(len(vpns))
+}
+
+// ReleasePage is Release for the one page vpn, of reuse priority prio.
+// It hands over no slice.
+//
+//simvet:hot
+func (w *Worker) ReleasePage(vpn, prio int) {
+	w.vpn, w.prio, w.one = vpn, prio, true
+	w.request(1)
+}
+
+// request issues the release system call for n pages.
+//
+//simvet:hot
+func (w *Worker) request(n int) {
 	pm := w.pm
 	pm.Stats.ReleaseRequests++
-	pm.Stats.ReleasePages += int64(len(vpns))
-	pm.as.Events.Emit(events.PMReleaseCall, pm.as.OwnerName(), "", -1, int64(len(vpns)), 0)
-	w.vpns, w.prios = vpns, prios
+	pm.Stats.ReleasePages += int64(n)
+	pm.as.Events.Emit(events.PMReleaseCall, pm.as.OwnerName(), "", -1, int64(n), 0)
 	w.x.SystemThen(pm.cfg.ReleaseCall, w.releaseFn)
 }
 
 //simvet:hot
 func (w *Worker) release() {
-	pm, vpns, prios := w.pm, w.vpns, w.prios
-	w.vpns, w.prios = nil, nil
-	for _, vpn := range vpns {
-		pm.shared.clear(vpn)
-		pm.as.InvalidateForRelease(vpn)
+	pm := w.pm
+	if w.one {
+		w.one = false
+		pm.shared.clear(w.vpn)
+		pm.as.InvalidateForRelease(w.vpn)
+		pm.releaser.EnqueuePage(pm.as, w.vpn, w.prio)
+	} else {
+		vpns, prios := w.vpns, w.prios
+		w.vpns, w.prios = nil, nil
+		for _, vpn := range vpns {
+			pm.shared.clear(vpn)
+			pm.as.InvalidateForRelease(vpn)
+		}
+		pm.releaser.Enqueue(pm.as, vpns, prios)
 	}
-	pm.releaser.Enqueue(pm.as, vpns, prios)
 	pm.refresh()
 	w.done()
 }

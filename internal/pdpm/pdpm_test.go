@@ -22,8 +22,8 @@ func (e *testExec) System(d sim.Time) {
 }
 func (e *testExec) Account(b vm.Bucket, d sim.Time) { e.times[b] += d }
 func (e *testExec) SystemThen(d sim.Time, k func()) {
-	e.System(d)
-	k()
+	e.times[vm.BucketSystem] += d
+	e.proc.SleepThen(d, k)
 }
 
 // prefetch runs one prefetch request on x's process.
@@ -52,10 +52,12 @@ func newRig(frames, pages int, cfg Config) *rig {
 		SeqPosTime: 600 * sim.Microsecond, TransferTime: 900 * sim.Microsecond,
 		Seed: 1,
 	})
-	releaser := pageout.NewNodeReleaser(s, pageout.ReleaserConfig{
+	releaser := pageout.NewNodeReleaser(pageout.ReleaserConfig{
 		PerPage: 2 * sim.Microsecond, Batch: 8,
 	}, 0)
-	releaser.Start(func(p *sim.Proc) vm.Exec { return &testExec{proc: p} })
+	releaser.Start(func(name string, start func()) vm.Exec {
+		return &testExec{proc: s.SpawnStep(name, start)}
+	})
 	as := vm.NewAS("app", 0, pages, 0, phys, dk, vm.Params{
 		SoftFaultTime: 30 * sim.Microsecond,
 		RescueTime:    80 * sim.Microsecond,

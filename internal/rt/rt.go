@@ -115,58 +115,24 @@ type Stats struct {
 type workKind int8
 
 const (
-	workPf workKind = iota
-	workRel
+	workPf      workKind = iota // prefetch page
+	workRel                     // release pages, with prios
+	workRelPage                 // release page, with prio
 )
 
 type workItem struct {
 	kind  workKind
 	page  int
+	prio  int
 	pages []int
 	prios []int // eq. 2 reuse priority of each released page
-}
-
-// fifo is a first-in first-out queue: the live items are
-// items[head:]. A pop only advances head and clears the popped slot. A
-// push that would grow the backing array first moves the live items to
-// the front instead, when popped slots are at least an eighth of them:
-// the array grows only when it is nearly all live, and each move of n
-// items frees n/8 or more slots, so both operations are O(1) amortized.
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-// len returns the number of items the queue holds.
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
-
-// pop removes and returns the oldest item.
-func (q *fifo[T]) pop() T {
-	var zero T
-	it := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	}
-	return it
-}
-
-// push appends an item.
-func (q *fifo[T]) push(it T) {
-	if q.head > 0 && len(q.items) == cap(q.items) && q.head >= q.len()/8 {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
-	}
-	q.items = append(q.items, it)
 }
 
 // relQueue buffers releases for one tag (Figure 6(b)), oldest first.
 type relQueue struct {
 	tag  int
 	prio int
-	fifo[int]
+	sim.FIFO[int]
 }
 
 // relHint is a release hint held back by an injected delay.
@@ -204,7 +170,7 @@ type Layer struct {
 	chaos     *chaos.Injector
 	lateHints []relHint
 
-	work     fifo[workItem]
+	work     sim.FIFO[workItem]
 	workWait *sim.Waitq
 
 	userCarry float64
@@ -259,8 +225,15 @@ func (l *Layer) donate(max int) []int {
 
 // drain takes up to max buffered pages, with their reuse priorities,
 // from the lowest-priority queues first, round-robin by tag within a
-// priority level.
+// priority level. The two slices share one allocation, sized once for
+// what the queues hold; it returns nil when they hold nothing.
 func (l *Layer) drain(max int) (pages, prios []int) {
+	n := min(max, l.BufferedPages())
+	if n <= 0 {
+		return nil, nil
+	}
+	buf := make([]int, 2*n)
+	pages, prios = buf[:0:n], buf[n:n]
 	for lo := 0; lo < len(l.byPrio) && len(pages) < max; {
 		hi := lo + 1
 		for hi < len(l.byPrio) && l.byPrio[hi].prio == l.byPrio[lo].prio {
@@ -271,10 +244,10 @@ func (l *Layer) drain(max int) (pages, prios []int) {
 		for len(pages) < max {
 			progress := false
 			for _, q := range level {
-				if q.len() == 0 || len(pages) >= max {
+				if q.Len() == 0 || len(pages) >= max {
 					continue
 				}
-				pages = append(pages, q.pop())
+				pages = append(pages, q.Pop())
 				prios = append(prios, q.prio)
 				progress = true
 			}
@@ -362,14 +335,14 @@ func (l *Layer) prefetch1(pg int64) {
 		l.ev.Emit(events.RTPrefetchFilter, l.p.Name, "", p, 0, 0)
 		return
 	}
-	if l.work.len() >= l.cfg.MaxPfQueue {
+	if l.work.Len() >= l.cfg.MaxPfQueue {
 		l.Stats.PrefetchDropped++
 		l.ev.Emit(events.RTPrefetchDrop, l.p.Name, "", p, 0, 0)
 		return
 	}
 	l.Stats.PrefetchIssued++
 	l.ev.Emit(events.RTPrefetchIssue, l.p.Name, "", p, 0, 0)
-	l.work.push(workItem{kind: workPf, page: p})
+	l.work.Push(workItem{kind: workPf, page: p})
 	l.workWait.WakeOne()
 }
 
@@ -445,7 +418,7 @@ func (l *Layer) release1(tag int, prio int, page int64) {
 	if l.cfg.Mode != ModeReactive && (prio == 0 || l.cfg.Mode == ModeAggressive) {
 		// "Requests with no reuse (i.e. a priority of 0) are issued to
 		// the OS after passing the simple checks."
-		l.issueRelease([]int{p}, []int{prio})
+		l.issueRelease(workItem{kind: workRelPage, page: p, prio: prio}, 1)
 		return
 	}
 
@@ -453,12 +426,12 @@ func (l *Layer) release1(tag int, prio int, page int64) {
 	if q == nil {
 		q = l.addQueue(tag, prio)
 	}
-	if q.len() >= l.cfg.MaxQueue {
+	if q.Len() >= l.cfg.MaxQueue {
 		l.Stats.ReleaseOverflow++
-		dropped := q.pop()
+		dropped := q.Pop()
 		l.ev.Emit(events.RTReleaseOverflow, l.p.Name, "", dropped, 0, 0)
 	}
-	q.push(p)
+	q.Push(p)
 	l.Stats.ReleaseBuffered++
 	l.ev.Emit(events.RTReleaseBuffer, l.p.Name, "", p, int64(prio), 0)
 	if l.cfg.Mode != ModeReactive {
@@ -488,17 +461,18 @@ func (l *Layer) checkPressureForced() {
 		l.ev.Emit(events.RTPressureDrain, l.p.Name, "", -1, int64(sp.Current), int64(sp.Limit))
 	}
 	if pages, prios := l.drain(l.cfg.ReleaseBatch); len(pages) > 0 {
-		l.issueRelease(pages, prios)
+		l.issueRelease(workItem{kind: workRel, pages: pages, prios: prios}, len(pages))
 	}
 }
 
-// issueRelease hands pages (with their parallel reuse priorities) to a
-// worker thread for the actual system call ("The same set of pthreads
-// are also used to actually issue the release requests to the OS").
-func (l *Layer) issueRelease(pages, prios []int) {
-	l.Stats.ReleaseIssued += int64(len(pages))
-	l.ev.Emit(events.RTReleaseIssue, l.p.Name, "", -1, int64(len(pages)), 0)
-	l.work.push(workItem{kind: workRel, pages: pages, prios: prios})
+// issueRelease hands a release of n pages (with their reuse
+// priorities) to a worker thread for the actual system call ("The
+// same set of pthreads are also used to actually issue the release
+// requests to the OS").
+func (l *Layer) issueRelease(it workItem, n int) {
+	l.Stats.ReleaseIssued += int64(n)
+	l.ev.Emit(events.RTReleaseIssue, l.p.Name, "", -1, int64(n), 0)
+	l.work.Push(it)
 	l.workWait.WakeOne()
 }
 
@@ -506,8 +480,8 @@ func (l *Layer) issueRelease(pages, prios []int) {
 // in the priority queues (for tests and diagnostics).
 func (l *Layer) BufferedPages() int {
 	n := 0
-	for _, q := range l.queues {
-		n += q.len()
+	for _, q := range l.byPrio {
+		n += q.Len()
 	}
 	return n
 }
@@ -519,7 +493,7 @@ func (l *Layer) Flush() {
 	// Deliver hints chaos held back so "late" stays late, not lost.
 	l.deliverLate()
 	if pages, prios := l.drain(l.BufferedPages()); len(pages) > 0 {
-		l.issueRelease(pages, prios)
+		l.issueRelease(workItem{kind: workRel, pages: pages, prios: prios}, len(pages))
 	}
 }
 
@@ -548,17 +522,19 @@ func (w *worker) loop() {
 	l := w.l
 	w.looping = true
 	for !w.busy {
-		if l.work.len() == 0 {
+		if l.work.Len() == 0 {
 			l.workWait.WaitThen(w.p, w.loopFn)
 			break
 		}
-		item := l.work.pop()
+		item := l.work.Pop()
 		w.busy = true
 		switch item.kind {
 		case workPf:
 			w.pm.Prefetch(item.page)
 		case workRel:
 			w.pm.Release(item.pages, item.prios)
+		case workRelPage:
+			w.pm.ReleasePage(item.page, item.prio)
 		}
 	}
 	w.looping = false

@@ -409,50 +409,6 @@ func TestQueueOverflowThenDrain(t *testing.T) {
 	}
 }
 
-// TestFIFOOrderAcrossCompaction interleaves pushes and pops so that
-// the queue empties, compacts its live items to the front and grows
-// its backing array many times. Items must leave in the order they
-// came, and every slot outside the live part must be cleared.
-func TestFIFOOrderAcrossCompaction(t *testing.T) {
-	var q fifo[int]
-	next, want := 1, 1
-	compactions := 0
-	for round := 0; round < 2000; round++ {
-		for i := 0; i < round%7+1; i++ {
-			head := q.head
-			q.push(next)
-			next++
-			if head > 0 && q.head == 0 {
-				compactions++
-			}
-		}
-		for i := 0; i < round%5+1 && q.len() > 0; i++ {
-			if got := q.pop(); got != want {
-				t.Fatalf("round %d: pop = %d, want %d", round, got, want)
-			}
-			want++
-		}
-		if n := next - want; q.len() != n {
-			t.Fatalf("round %d: len = %d, want %d", round, q.len(), n)
-		}
-		all := q.items[:cap(q.items)]
-		for i, it := range all {
-			if live := i >= q.head && i < len(q.items); !live && it != 0 {
-				t.Fatalf("round %d: slot %d outside the live part holds %d", round, i, it)
-			}
-		}
-	}
-	for q.len() > 0 {
-		if got := q.pop(); got != want {
-			t.Fatalf("drain: pop = %d, want %d", got, want)
-		}
-		want++
-	}
-	if compactions == 0 {
-		t.Fatal("the queue never compacted; the test does not reach the move")
-	}
-}
-
 // TestDrainOrderAcrossLevels creates queues out of (prio, tag) order
 // over three priority levels and drains them in two calls, the first
 // stopping in the middle of a level's round. Pages leave lowest

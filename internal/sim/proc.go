@@ -13,12 +13,14 @@ import "fmt"
 // built on them) must only be called from within the Proc's own body;
 // called anywhere else, they panic.
 //
-// A step process (SpawnStep) has no body and no goroutine. It blocks
-// through the continuation forms (SleepThen, ParkThen and the Then
-// forms of Waitq, Lock and Sem), which record what to run next and
-// return; its resumption event runs that continuation inline in the
-// event loop, with no current process. Locks, semaphores and wait
-// queues hold both kinds in one FIFO.
+// A step process (SpawnStep) has no body and no goroutine: the system
+// daemons and the run-time layer's workers are step processes, and
+// only the hogs have a body. A step process blocks through the
+// continuation forms (SleepThen, ParkThen and the Then forms of Waitq,
+// Lock and Sem), which record what to run next and return; its
+// resumption event runs that continuation inline in the event loop,
+// with no current process. Locks, semaphores and wait queues hold both
+// kinds in one FIFO.
 type Proc struct {
 	sim      *Sim
 	name     string

@@ -12,23 +12,25 @@
 // makes every run fully deterministic, which the experiment harness
 // relies on.
 //
-// Processes that never finish (daemons, a hog cut by the horizon) are
-// unwound by Close, which must follow the last Run for the goroutines
-// to exit.
+// Processes with a body that never finish (a hog cut by the horizon)
+// are unwound by Close, which must follow the last Run for the
+// goroutines to exit.
 // Unwinding runs the bodies' deferred calls, so no defer may touch
 // simulator state on a path that can park: it would run while the
 // process is parked, not where the code reads as if it ran.
 //
 // The rest of the system is built from three primitives defined here:
 // timed events, parkable processes, and wait queues (from which locks
-// and semaphores are derived). Only the daemons and the hogs (the
-// processes running workload code) have a body and a goroutine. Disks
-// are event-driven servers, chains of timed callbacks with no process
-// of their own, and the run-time layer's workers are step processes
-// (SpawnStep), whose resumptions run continuations inline, because a
-// page-in, a page-out or a prefetch would otherwise cost several
-// goroutine switches. An event callback, a step included, runs with no
-// current process and must not block one.
+// and semaphores are derived). Only the hogs (the processes running
+// workload code) have a body and a goroutine, so a run with one hog
+// makes no goroutine switch between its start and its end. Disks are
+// event-driven servers, chains of timed callbacks with no process of
+// their own, and the system daemons and the run-time layer's workers
+// are step processes (SpawnStep), whose resumptions run continuations
+// inline, because a page-in, a page-out, a prefetch or a daemon's
+// per-page CPU charge would otherwise cost goroutine switches. An event
+// callback, a step included, runs with no current process and must not
+// block one.
 package sim
 
 import (
