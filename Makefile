@@ -153,8 +153,8 @@ chaos: build
 
 # Short sessions of every fuzz target: the language front end, the
 # affine evaluator, the loop executor against its element-wise oracle,
-# the chaos plan codec and the flight-recorder exporter;
-# `go test -fuzz=<name> -fuzztime=0` explores indefinitely.
+# the chaos plan codec, the flight-recorder exporter and the time
+# formatter; `go test -fuzz=<name> -fuzztime=0` explores indefinitely.
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=10s ./internal/lang/
 	go test -fuzz=FuzzVet -fuzztime=10s ./internal/lang/
@@ -162,6 +162,7 @@ fuzz:
 	go test -fuzz=FuzzExecutorOracle -fuzztime=10s ./internal/compiler/
 	go test -fuzz=FuzzChaosPlan -fuzztime=10s ./internal/chaos/
 	go test -fuzz=FuzzExport -fuzztime=10s ./internal/events/
+	go test -fuzz=FuzzTimeFormat -fuzztime=10s ./internal/sim/
 
 clean:
 	go clean ./...

@@ -201,12 +201,16 @@ func (r *Recorder) Emit(k Kind, actor, target string, page int, a, b int64) {
 	r.counts[k]++
 	var idx int
 	if r.n < r.ringCap {
-		idx = (r.head + r.n) % r.ringCap
+		if idx = r.head + r.n; idx >= r.ringCap {
+			idx -= r.ringCap
+		}
 		r.n++
 	} else {
 		// Full: overwrite the oldest.
 		idx = r.head
-		r.head = (r.head + 1) % r.ringCap
+		if r.head++; r.head == r.ringCap {
+			r.head = 0
+		}
 		r.dropped++
 	}
 	*r.slot(idx) = Event{At: r.sim.Now(), Kind: k, Actor: actor, Target: target, Page: page, A: a, B: b}
@@ -252,8 +256,11 @@ func (r *Recorder) each(f func(e *Event)) {
 	if r == nil {
 		return
 	}
+	j := r.head
 	for i := 0; i < r.n; i++ {
-		j := (r.head + i) % r.ringCap
 		f(&r.chunks[j>>chunkShift][j&(1<<chunkShift-1)])
+		if j++; j == r.ringCap {
+			j = 0
+		}
 	}
 }

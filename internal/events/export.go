@@ -4,20 +4,20 @@ import (
 	"sort"
 	"strconv"
 	"unicode/utf8"
+	"unsafe"
 
 	"memhogs/internal/sim"
 )
 
-// The exporters append into one []byte sized from the retained-event
-// count, walking the ring in place (each) instead of copying it out
-// through Events. The per-event byte estimates sit a little above the
-// widest per-cell mean over the pinned trace matrix (71 for the Log,
-// 109 for Chrome), so a typical export never regrows its buffer.
-// summaryBytes covers the counter lines (about 40 bytes per kind) and
-// the totals line, or Chrome's otherData; actorBytes one thread_name
-// record.
+// The exporters append into one []byte, walking the ring in place
+// (each) instead of copying it out through Events. Log measures its
+// lines first (logLen) and allocates exactly that. Chrome sizes its
+// buffer from the retained-event count: the per-event estimate sits a
+// little above the widest per-cell mean over the pinned trace matrix
+// (109), so a typical export never regrows it. summaryBytes covers the
+// counter lines (about 40 bytes per kind) and the totals line, or
+// Chrome's otherData; actorBytes one thread_name record.
 const (
-	logBytesPerEvent    = 72
 	chromeBytesPerEvent = 112
 	summaryBytes        = int(KindCount)*40 + 64
 	actorBytes          = 96
@@ -74,24 +74,12 @@ func appendTime(b []byte, t sim.Time) []byte {
 	return b
 }
 
-// appendMicros appends t in microseconds with three decimals: the bytes
-// %.3f prints for float64(t)/1e3, without the float. The float quotient
-// is ns/1000 rounded to the nearest double, off by at most half an ulp;
-// below 2^53 ns (2^43 us, about 104 days) that is under half a
-// thousandth, so %.3f prints the exact ns/1000 "." ns%1000 back. The
-// trace horizon is 30 minutes (1.8e9 us), and virtual time is never
-// negative.
-func appendMicros(b []byte, t sim.Time) []byte {
-	b = strconv.AppendInt(b, int64(t/1000), 10)
-	frac := int64(t % 1000)
-	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
-}
-
 // Log renders the retained events as a human-readable merged log: one
 // line per event, all tracks interleaved in virtual-time order,
 // followed by the exact counter registry and the drop count.
 func (r *Recorder) Log() string {
-	b := make([]byte, 0, r.Len()*logBytesPerEvent+summaryBytes)
+	summary := r.appendCounterSummary(make([]byte, 0, summaryBytes))
+	b := make([]byte, 0, r.logLen()+len(summary))
 	r.each(func(e *Event) {
 		text := &kindTexts[e.Kind]
 		b = appendTime(b, e.At)
@@ -113,7 +101,66 @@ func (r *Recorder) Log() string {
 		}
 		b = append(b, '\n')
 	})
-	return string(r.appendCounterSummary(b))
+	// The string shares b's bytes, as strings.Builder.String does,
+	// instead of copying a buffer nothing touches again. b is full, so
+	// the string keeps no spare capacity alive.
+	b = append(b, summary...)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// logLen returns the length of Log's event lines: the bytes Log's walk
+// appends, computed without formatting anything.
+func (r *Recorder) logLen() int {
+	n := 0
+	r.each(func(e *Event) {
+		text := &kindTexts[e.Kind]
+		n += timeLen(e.At) + len("  ") + paddedLen(e.Actor, 11) + len(" ") + len(text.logName) + len("\n")
+		if e.Page >= 0 {
+			n += len(" page=") + intLen(int64(e.Page))
+		}
+		if e.Target != "" {
+			n += len(" of=") + len(e.Target)
+		}
+		if text.logArgs[0] != "" {
+			n += len(text.logArgs[0]) + intLen(e.A)
+		}
+		if text.logArgs[1] != "" {
+			n += len(text.logArgs[1]) + intLen(e.B)
+		}
+	})
+	return n
+}
+
+// timeLen is the length appendTime appends. Below a million seconds
+// AppendFormat's text fits the 12-byte field ("1000000.000s" at most),
+// which covers every trace; other times are formatted to be measured.
+func timeLen(t sim.Time) int {
+	if 0 <= t && t < 1_000_000*sim.Second {
+		return 12
+	}
+	var buf [32]byte
+	return max(12, len(t.AppendFormat(buf[:0])))
+}
+
+// paddedLen is the length appendPadded appends.
+func paddedLen(s string, width int) int {
+	n := len(s)
+	if c := utf8.RuneCountInString(s); c < width {
+		n += width - c
+	}
+	return n
+}
+
+// intLen is the length strconv.AppendInt(b, v, 10) appends.
+func intLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // CounterSummary renders the counter registry: one line per nonzero
@@ -152,9 +199,18 @@ func (r *Recorder) Chrome() []byte {
 		tid     int
 		counter string // the quoted name of the actor's counter track
 	}
+	// Nearly every event shares its predecessor's actor (99% over the
+	// pinned trace matrix), so both walks probe tracks only when the
+	// actor changes.
 	tracks := map[string]track{}
 	var actors []string
+	var last string
+	seen := false
 	r.each(func(e *Event) {
+		if seen && e.Actor == last {
+			return
+		}
+		seen, last = true, e.Actor
 		if _, ok := tracks[e.Actor]; !ok {
 			tracks[e.Actor] = track{len(tracks) + 1, strconv.Quote("mem[" + e.Actor + "]")}
 			actors = append(actors, e.Actor)
@@ -170,12 +226,16 @@ func (r *Recorder) Chrome() []byte {
 		b = strconv.AppendQuote(append(b, `,"args":{"name":`...), a)
 		b = append(b, "}}"...)
 	}
+	var tr track
+	seen = false
 	r.each(func(e *Event) {
-		tr := tracks[e.Actor]
+		if !seen || e.Actor != last {
+			seen, last, tr = true, e.Actor, tracks[e.Actor]
+		}
 		if e.Kind == PMRefresh {
 			// Counter track: shared-page usage vs limit per process.
 			b = append(append(b, ",\n"+`{"name":`...), tr.counter...)
-			b = appendMicros(append(b, `,"ph":"C","ts":`...), e.At)
+			b = e.At.AppendIn(append(b, `,"ph":"C","ts":`...), sim.Microsecond)
 			b = strconv.AppendInt(append(b, `,"pid":1,"tid":`...), int64(tr.tid), 10)
 			b = strconv.AppendInt(append(b, `,"args":{"current":`...), e.A, 10)
 			b = strconv.AppendInt(append(b, `,"limit":`...), e.B, 10)
@@ -183,7 +243,7 @@ func (r *Recorder) Chrome() []byte {
 			return
 		}
 		text := &kindTexts[e.Kind]
-		b = appendMicros(append(b, text.chromeOpen...), e.At)
+		b = e.At.AppendIn(append(b, text.chromeOpen...), sim.Microsecond)
 		b = strconv.AppendInt(append(b, `,"pid":1,"tid":`...), int64(tr.tid), 10)
 		b = append(b, `,"s":"t","args":{`...)
 		sep := ""

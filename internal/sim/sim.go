@@ -57,19 +57,49 @@ func (t Time) String() string { return string(t.AppendFormat(nil)) }
 // microsecond, else three decimals of the largest unit the time
 // reaches ("999ns", "1.000us", "2.500ms", "1800.000s"). It is the one
 // time formatter; the flight recorder's Log appends through it. The
-// decimals come from the float64 quotient, as %.3f prints it, because
-// rounding the integer would differ from %.3f on .xxx5 ties.
+// decimals come from AppendIn, so they are the bytes %.3f prints for
+// the float64 quotient.
 func (t Time) AppendFormat(b []byte) []byte {
 	switch {
 	case t >= Second:
-		return append(strconv.AppendFloat(b, float64(t)/float64(Second), 'f', 3, 64), 's')
+		return append(t.AppendIn(b, Second), 's')
 	case t >= Millisecond:
-		return append(strconv.AppendFloat(b, float64(t)/float64(Millisecond), 'f', 3, 64), "ms"...)
+		return append(t.AppendIn(b, Millisecond), "ms"...)
 	case t >= Microsecond:
-		return append(strconv.AppendFloat(b, float64(t)/float64(Microsecond), 'f', 3, 64), "us"...)
+		return append(t.AppendIn(b, Microsecond), "us"...)
 	default:
 		return append(strconv.AppendInt(b, int64(t), 10), "ns"...)
 	}
+}
+
+// AppendIn appends t in unit (Microsecond, Millisecond or Second) with
+// three decimals: the bytes %.3f prints for float64(t)/float64(unit),
+// computed in integers.
+//
+// With step = unit/1000 and q, r = t/step, t%step, the exact value is
+// q + r/step thousandths, so rounding half-up gives q or q+1. Unless
+// 2r == step, that value lies at least 1/(2*step) of a thousandth,
+// which is 1/(2*unit) of a unit, from the rounding midpoint: a step of
+// 1 has r == 0, and an even step has |r - step/2| >= 1. The float
+// quotient is off by at most half an ulp, under t/unit * 2^-53, and
+// t < 2^52 keeps that below 1/(2*unit), so the float rounds the same
+// way. 2^52 ns is about 52 days; the trace horizon is 30 minutes
+// (1.8e12 ns). On an exact tie the float's binary error decides the
+// digit (1.0005 ms prints "1.000", 2.0005 ms "2.001"), so ties,
+// negative t and t >= 2^52 print the float itself. A Microsecond step
+// is 1, which never ties.
+func (t Time) AppendIn(b []byte, unit Time) []byte {
+	step := unit / 1000
+	q, r := t/step, t%step
+	if 2*r == step || t < 0 || t >= 1<<52 {
+		return strconv.AppendFloat(b, float64(t)/float64(unit), 'f', 3, 64)
+	}
+	if 2*r > step {
+		q++
+	}
+	b = strconv.AppendInt(b, int64(q/1000), 10)
+	frac := q % 1000
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // Seconds returns the time as a floating-point number of seconds.
