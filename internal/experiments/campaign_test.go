@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"memhogs/internal/sim"
 )
@@ -117,7 +118,10 @@ func equalStrings(a, b []string) bool {
 
 // The first failing cell cancels every cell not yet started, the
 // reported error is the lowest-index failure no matter how the pool
-// interleaves, and it carries that cell's label.
+// interleaves, and it carries that cell's label. Each succeeding cell
+// takes 100 µs of real time, as real cells take milliseconds: with
+// cells that do no work, one worker could churn through all 200 while
+// the worker holding cell 2 still waits in the run queue.
 func TestRunCellsErrorPropagation(t *testing.T) {
 	o := Quick()
 	o.Workers = 4
@@ -138,6 +142,7 @@ func TestRunCellsErrorPropagation(t *testing.T) {
 			case 50:
 				return 0, "", failHigh
 			}
+			time.Sleep(100 * time.Microsecond)
 			return i, "ok", nil
 		})
 	if !errors.Is(err, failLow) {

@@ -257,85 +257,64 @@ func (sys *System) Now() sim.Time { return sys.Sim.Now() }
 // Procs returns the processes created so far.
 func (sys *System) Procs() []*Process { return sys.procs }
 
-// execCtx implements vm.Exec for one simulated thread.
-type execCtx struct {
+// exec implements vm.Exec for one simulated thread: a hog, a
+// run-time-layer worker or a system daemon. A CPU charge is a chain of
+// events: each quantum-sized slice takes a CPU (granted), holds it
+// (sliced) and gives it back, contending with all other runnable
+// threads, and is booked to the charge's bucket. A hog awaits it.
+type exec struct {
 	sys   *System
 	proc  *sim.Proc
 	times *[vm.NumBuckets]sim.Time
-	flush func() // flush pending user compute before system work
-}
+	th    *Thread // the hog thread; nil on a step thread
 
-// Proc implements vm.Exec.
-func (e *execCtx) Proc() *sim.Proc { return e.proc }
-
-// System implements vm.Exec: consume CPU in system mode. Pending user
-// computation is flushed first so kernel work lands after the
-// computation that preceded it.
-func (e *execCtx) System(d sim.Time) {
-	e.flush()
-	e.consume(d, vm.BucketSystem)
-}
-
-// SystemThen implements vm.Exec for a thread with a body: System,
-// then k.
-func (e *execCtx) SystemThen(d sim.Time, k func()) {
-	e.System(d)
-	k()
-}
-
-// Account implements vm.Exec.
-func (e *execCtx) Account(b vm.Bucket, d sim.Time) { e.times[b] += d }
-
-// consume schedules d of CPU time in quantum-sized slices, contending
-// with all other runnable threads for the machine's processors.
-func (e *execCtx) consume(d sim.Time, b vm.Bucket) {
-	for d > 0 {
-		w := e.sys.cpus.Acquire(e.proc)
-		if w > 0 {
-			e.times[vm.BucketStallCPU] += w
-		}
-		q := d
-		if q > e.sys.Cfg.CPUQuantum {
-			q = e.sys.Cfg.CPUQuantum
-		}
-		e.proc.Sleep(q)
-		e.sys.cpus.Release()
-		e.times[b] += q
-		d -= q
-	}
-}
-
-// stepExec is the vm.Exec of a step thread (see spawnStep): a
-// run-time-layer worker or a system daemon. Its
-// SystemThen is consume as a chain of events: each quantum-sized
-// slice takes a CPU (granted), holds it (sliced) and gives it back,
-// pushing the same events at the same points as consume does.
-type stepExec struct {
-	execCtx
-
-	left  sim.Time // charge still to run
-	slice sim.Time // the slice in progress
-	asked sim.Time // when the CPU for it was asked for
-	then  func()   // runs once the charge is done
+	left   sim.Time  // charge still to run
+	bucket vm.Bucket // the bucket the charge is booked to
+	slice  sim.Time  // the slice in progress
+	asked  sim.Time  // when the CPU for it was asked for
+	then   func()    // runs once the charge is done
 
 	// The steps, bound once: a method value passed to AcquireThen or
 	// SleepThen would allocate at every slice.
 	grantedFn, slicedFn func()
 }
 
-// SystemThen implements vm.Exec: consume d of CPU time in system mode,
-// then run k. A step thread never has user computation to flush.
+// newExec returns an exec accounting to times; the caller sets proc.
+func (sys *System) newExec(times *[vm.NumBuckets]sim.Time, th *Thread) *exec {
+	e := &exec{sys: sys, times: times, th: th}
+	e.grantedFn, e.slicedFn = e.granted, e.sliced
+	return e
+}
+
+// Proc implements vm.Exec.
+func (e *exec) Proc() *sim.Proc { return e.proc }
+
+// Account implements vm.Exec.
+func (e *exec) Account(b vm.Bucket, d sim.Time) { e.times[b] += d }
+
+// SystemThen implements vm.Exec. A hog's pending user computation is
+// flushed first so kernel work lands after the computation before it.
 //
 //simvet:hot
-func (e *stepExec) SystemThen(d sim.Time, k func()) {
-	e.left, e.then = d, k
+func (e *exec) SystemThen(d sim.Time, k func()) {
+	if e.th != nil {
+		e.th.FlushUser()
+	}
+	e.charge(d, vm.BucketSystem, k)
+}
+
+// charge consumes d of CPU time booked to bucket b, then runs k.
+//
+//simvet:hot
+func (e *exec) charge(d sim.Time, b vm.Bucket, k func()) {
+	e.left, e.bucket, e.then = d, b, k
 	e.nextSlice()
 }
 
 // nextSlice asks for a CPU for the next slice, or ends the charge.
 //
 //simvet:hot
-func (e *stepExec) nextSlice() {
+func (e *exec) nextSlice() {
 	if e.left <= 0 {
 		k := e.then
 		e.then = nil
@@ -351,7 +330,7 @@ func (e *stepExec) nextSlice() {
 // granted holds the CPU for one slice.
 //
 //simvet:hot
-func (e *stepExec) granted() {
+func (e *exec) granted() {
 	if w := e.proc.Now() - e.asked; w > 0 {
 		e.times[vm.BucketStallCPU] += w
 	}
@@ -365,12 +344,15 @@ func (e *stepExec) granted() {
 // sliced gives the CPU back after a slice.
 //
 //simvet:hot
-func (e *stepExec) sliced() {
+func (e *exec) sliced() {
 	e.sys.cpus.Release()
-	e.times[vm.BucketSystem] += e.slice
+	e.times[e.bucket] += e.slice
 	e.left -= e.slice
 	e.nextSlice()
 }
+
+// nop is the continuation of a charge a hog awaits.
+func nop() {}
 
 // Process is a simulated user process: one address space, optionally a
 // PagingDirected PM, and one or more threads.
@@ -446,10 +428,9 @@ func (p *Process) AttachPM(maxRSS int) *pdpm.PM {
 // Thread is one simulated thread of a process.
 type Thread struct {
 	P    *Process
-	exec *execCtx
+	exec *exec
 
 	pendingUser sim.Time
-	UserCalls   int64 // number of User() accumulations, for overhead stats
 }
 
 // Start launches the process's main thread running body. When body
@@ -458,10 +439,11 @@ type Thread struct {
 // application finishes).
 func (p *Process) Start(stopSim bool, body func(t *Thread)) *Thread {
 	t := &Thread{P: p}
+	t.exec = p.Sys.newExec(&p.Times, t)
 	p.main = t
 	p.StartedAt = p.Sys.Now()
 	p.Sys.Sim.Spawn(p.Name, func(proc *sim.Proc) {
-		t.exec = &execCtx{sys: p.Sys, proc: proc, times: &p.Times, flush: t.FlushUser}
+		t.exec.proc = proc
 		body(t)
 		t.FlushUser()
 		p.FinishedAt = proc.Now()
@@ -492,8 +474,7 @@ func (sys *System) spawnDaemon(name string, start func()) vm.Exec {
 // spawnStep spawns a step thread named name whose time is accounted
 // to times, and returns its vm.Exec.
 func (sys *System) spawnStep(name string, times *[vm.NumBuckets]sim.Time, start func()) vm.Exec {
-	e := &stepExec{execCtx: execCtx{sys: sys, times: times, flush: func() {}}}
-	e.grantedFn, e.slicedFn = e.granted, e.sliced
+	e := sys.newExec(times, nil)
 	e.proc = sys.Sim.SpawnStep(name, start)
 	return e
 }
@@ -512,7 +493,6 @@ func (t *Thread) Now() sim.Time { return t.exec.proc.Now() }
 // generate one event per arithmetic strip.
 func (t *Thread) User(d sim.Time) {
 	t.pendingUser += d
-	t.UserCalls++
 	if t.pendingUser >= t.P.Sys.Cfg.UserFlush {
 		t.FlushUser()
 	}
@@ -527,7 +507,8 @@ func (t *Thread) FlushUser() {
 	if t.pendingUser > 0 {
 		d := t.pendingUser
 		t.pendingUser = 0
-		t.exec.consume(d, vm.BucketUser)
+		t.exec.charge(d, vm.BucketUser, nop)
+		t.exec.proc.Await()
 	}
 }
 

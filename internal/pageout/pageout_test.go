@@ -15,11 +15,7 @@ type testExec struct {
 	times [vm.NumBuckets]sim.Time
 }
 
-func (e *testExec) Proc() *sim.Proc { return e.proc }
-func (e *testExec) System(d sim.Time) {
-	e.proc.Sleep(d)
-	e.times[vm.BucketSystem] += d
-}
+func (e *testExec) Proc() *sim.Proc                 { return e.proc }
 func (e *testExec) Account(b vm.Bucket, d sim.Time) { e.times[b] += d }
 
 // SystemThen charges d as a sleep: on a step process (a daemon) it

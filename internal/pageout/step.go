@@ -16,16 +16,14 @@ type Spawn func(name string, start func()) vm.Exec
 // transition that has to wait (a CPU charge, a sleep, a wait queue, a
 // lock) starts the wait through one of the methods below and returns.
 // The wait's continuation, resume, runs the machine again. A wait that
-// ends at once (a zero charge, a free lock) lets the same run loop go
-// on instead of nesting a call, so a batch of any size runs at a
-// constant stack depth. Each wait pushes the event the blocking form
-// (Sleep, Park, Lock.Acquire, Exec.System) pushes at the same point.
+// ends at once (a zero charge, a free lock) leaves no wait pending on
+// the process, so the same run loop goes on instead of nesting a call,
+// and a batch of any size runs at a constant stack depth.
 type stepper struct {
 	p *sim.Proc
 	x vm.Exec
 
 	step    func() // one transition of the daemon's loop
-	waiting bool   // a wait is pending
 	running bool   // run is on the stack
 
 	lock      *sim.Lock // the lock a queued acquire waits for
@@ -48,7 +46,7 @@ func (s *stepper) start(spawn Spawn, name string, step func()) {
 //simvet:hot
 func (s *stepper) run() {
 	s.running = true
-	for !s.waiting {
+	for !s.p.Waiting() {
 		s.step()
 	}
 	s.running = false
@@ -59,7 +57,6 @@ func (s *stepper) run() {
 //
 //simvet:hot
 func (s *stepper) resume() {
-	s.waiting = false
 	if !s.running {
 		s.run()
 	}
@@ -73,11 +70,10 @@ func (s *stepper) handed() {
 	s.resume()
 }
 
-// charge consumes d of CPU time in system mode (Exec.System).
+// charge consumes d of CPU time in system mode (Exec.SystemThen).
 //
 //simvet:hot
 func (s *stepper) charge(d sim.Time) {
-	s.waiting = true
 	s.x.SystemThen(d, s.resumeFn)
 }
 
@@ -85,7 +81,6 @@ func (s *stepper) charge(d sim.Time) {
 //
 //simvet:hot
 func (s *stepper) sleep(d sim.Time) {
-	s.waiting = true
 	s.p.SleepThen(d, s.resumeFn)
 }
 
@@ -93,7 +88,6 @@ func (s *stepper) sleep(d sim.Time) {
 //
 //simvet:hot
 func (s *stepper) wait(q *sim.Waitq) {
-	s.waiting = true
 	q.WaitThen(s.p, s.resumeFn)
 }
 
@@ -102,7 +96,5 @@ func (s *stepper) wait(q *sim.Waitq) {
 //simvet:hot
 func (s *stepper) acquire(l *sim.Lock) {
 	s.lock, s.lockStart = l, s.p.Now()
-	if !l.AcquireThen(s.p, s.handedFn) {
-		s.waiting = true
-	}
+	l.AcquireThen(s.p, s.handedFn)
 }

@@ -15,23 +15,23 @@ type testExec struct {
 	times [vm.NumBuckets]sim.Time
 }
 
-func (e *testExec) Proc() *sim.Proc { return e.proc }
-func (e *testExec) System(d sim.Time) {
-	e.proc.Sleep(d)
-	e.times[vm.BucketSystem] += d
-}
+func (e *testExec) Proc() *sim.Proc                 { return e.proc }
 func (e *testExec) Account(b vm.Bucket, d sim.Time) { e.times[b] += d }
 func (e *testExec) SystemThen(d sim.Time, k func()) {
 	e.times[vm.BucketSystem] += d
 	e.proc.SleepThen(d, k)
 }
 
-// prefetch runs one prefetch request on x's process.
-func (r *rig) prefetch(x *testExec, vpn int) { r.pm.NewWorker(x, func() {}).Prefetch(vpn) }
+// prefetch runs one prefetch request on x's process and awaits it.
+func (r *rig) prefetch(x *testExec, vpn int) {
+	r.pm.NewWorker(x, func() {}).Prefetch(vpn)
+	x.proc.Await()
+}
 
-// release runs one release request on x's process.
+// release runs one release request on x's process and awaits it.
 func (r *rig) release(x *testExec, vpns, prios []int) {
 	r.pm.NewWorker(x, func() {}).Release(vpns, prios)
+	x.proc.Await()
 }
 
 type rig struct {

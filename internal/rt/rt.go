@@ -505,7 +505,6 @@ type worker struct {
 	p  *sim.Proc
 	pm *pdpm.Worker
 
-	busy    bool // an item is in service
 	looping bool // loop is on the stack
 
 	loopFn, doneFn func()
@@ -514,20 +513,20 @@ type worker struct {
 // loop takes items while there are any, and parks on the layer's wait
 // queue when there are none; it is also what a wake-up resumes, and it
 // re-checks the queue then, since another worker may have taken the
-// item. An item that ends at once is followed by the next in this
-// loop, not in a nested call.
+// item. An item in service has a wait pending on the process; one that
+// ends at once leaves none, and is followed by the next in this loop,
+// not in a nested call.
 //
 //simvet:hot
 func (w *worker) loop() {
 	l := w.l
 	w.looping = true
-	for !w.busy {
+	for !w.p.Waiting() {
 		if l.work.Len() == 0 {
 			l.workWait.WaitThen(w.p, w.loopFn)
 			break
 		}
 		item := l.work.Pop()
-		w.busy = true
 		switch item.kind {
 		case workPf:
 			w.pm.Prefetch(item.page)
@@ -544,7 +543,6 @@ func (w *worker) loop() {
 //
 //simvet:hot
 func (w *worker) done() {
-	w.busy = false
 	if !w.looping {
 		w.loop()
 	}

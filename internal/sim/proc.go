@@ -2,33 +2,31 @@ package sim
 
 import "fmt"
 
-// Proc is a simulated process: a goroutine that holds control only
-// between being resumed and blocking. At most one Proc goroutine
-// executes at any real moment; all others are parked waiting on their
-// resume channel. A blocking process runs the event loop itself (see
-// yieldToLoop), so resuming itself costs no goroutine switch and
-// resuming another process costs one.
-//
-// Proc methods that advance or block (Sleep, Park, and everything
-// built on them) must only be called from within the Proc's own body;
-// called anywhere else, they panic.
+// Proc is a simulated process. A wait starts through a continuation
+// form (SleepThen, ParkThen and the Then forms of Waitq, Lock and Sem),
+// which records what to run next and returns; the process's next
+// resumption runs it. At most one wait is pending at a time.
 //
 // A step process (SpawnStep) has no body and no goroutine: the system
-// daemons and the run-time layer's workers are step processes, and
-// only the hogs have a body. A step process blocks through the
-// continuation forms (SleepThen, ParkThen and the Then forms of Waitq,
-// Lock and Sem), which record what to run next and return; its
-// resumption event runs that continuation inline in the event loop,
-// with no current process. Locks, semaphores and wait queues hold both
-// kinds in one FIFO.
+// daemons and the run-time layer's workers are step processes. Its
+// resumption event runs the continuation inline in the event loop,
+// with no current process. Only the hogs have a body: a goroutine that
+// holds control only between being resumed and blocking in Await,
+// which runs the continuations on that goroutine until no wait is
+// pending. The blocking forms (Sleep, Park, Wait, Acquire) are a
+// continuation form plus Await, which only the Proc's own body may
+// call. A blocking process runs the event loop itself (see
+// yieldToLoop), so resuming itself costs no goroutine switch and
+// resuming another costs one. Locks, semaphores and wait queues hold
+// both kinds in one FIFO.
 type Proc struct {
 	sim      *Sim
 	name     string
 	resume   chan struct{}
 	finished bool
 
-	// step marks a step process; cont is its continuation, run by its
-	// next resumption.
+	// step marks a step process; cont is the pending wait's
+	// continuation, run by its next resumption.
 	step bool
 	cont func()
 }
@@ -36,11 +34,11 @@ type Proc struct {
 // Name returns the process name given at Spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// Sim returns the simulator this process belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
+
+// Waiting reports whether a wait is pending.
+func (p *Proc) Waiting() bool { return p.cont != nil }
 
 // Spawn creates a process named name running body and schedules it to
 // start at the current virtual time. It returns the new Proc, which
@@ -84,12 +82,17 @@ func (p *Proc) resumeStep() {
 }
 
 // run is the process goroutine. A finishing process passes control on
-// as a blocking one does, or back to Close when Close resumed it.
+// as a blocking one does, or back to Close when Close resumed it. A
+// body that returns with a wait pending panics: its continuation would
+// be lost, as the resumption of a finished process is skipped.
 func (p *Proc) run(body func(p *Proc)) {
 	s := p.sim
 	<-p.resume // first dispatch, or Close
 	if !s.closing {
 		p.call(body)
+		if p.cont != nil && !s.closing {
+			panic("sim: " + p.name + " finished with a wait pending")
+		}
 	}
 	p.finished = true
 	s.nprocs--
@@ -113,15 +116,15 @@ func (p *Proc) call(body func(p *Proc)) {
 	body(p)
 }
 
-// yieldToLoop gives up control until the process is next resumed. It
-// runs the event loop on this goroutine: when the next process to
-// resume is p itself it returns at once, otherwise it hands control
-// to that process (or back to Run when the run ends) and waits. Under
-// Close it panics with errClosed instead, both when Close resumes it
-// and when a deferred call tries to park during the unwind. Blocking
-// p anywhere but in p's own body (from an event callback, or from
-// another process) would run the loop on a goroutine p does not own,
-// so it panics.
+// yieldToLoop gives up control until the process is next resumed
+// (for Await, its one caller). It runs the event loop on this
+// goroutine: when the next process to resume is p itself it returns at
+// once, otherwise it hands control to that process (or back to Run
+// when the run ends) and waits. Under Close it panics with errClosed
+// instead, both when Close resumes it and when a deferred call tries
+// to park during the unwind. Blocking p anywhere but in p's own body
+// (from an event callback, or from another process) would run the loop
+// on a goroutine p does not own, so it panics.
 func (p *Proc) yieldToLoop() {
 	s := p.sim
 	if s.closing {
@@ -139,54 +142,62 @@ func (p *Proc) yieldToLoop() {
 	}
 }
 
+// Await blocks p's body until no wait is pending: it yields until p is
+// resumed, runs the pending continuation, and repeats.
+//
+//simvet:hot
+func (p *Proc) Await() {
+	for p.cont != nil {
+		p.yieldToLoop()
+		k := p.cont
+		p.cont = nil
+		k()
+	}
+}
+
+// resumed is the continuation of a blocking form.
+func resumed() {}
+
 // Sleep advances virtual time by d for this process. Other events run
 // in the meantime.
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		p.negativeSleep(d)
-	}
-	p.sim.scheduleResume(p, p.sim.now+d)
-	p.yieldToLoop()
+	p.SleepThen(d, resumed)
+	p.Await()
 }
 
 // Park blocks the process indefinitely until some other party calls
 // Wake. The caller is responsible for having registered itself
 // somewhere a waker will find it (Waitq does this automatically).
-func (p *Proc) Park() { p.yieldToLoop() }
+func (p *Proc) Park() {
+	p.ParkThen(resumed)
+	p.Await()
+}
 
 // negativeSleep panics: a sleep cannot go back in time.
 func (p *Proc) negativeSleep(d Time) {
 	panic(fmt.Sprintf("sim: %s: negative sleep %d", p.name, d))
 }
 
-// SleepThen is Sleep in continuation form: k runs once d has passed.
-// A step process returns at once and k runs from its resumption; a
-// process with a body sleeps and then calls k before returning.
+// SleepThen is Sleep in continuation form: it returns at once, and k
+// runs once d has passed.
 //
 //simvet:hot
 func (p *Proc) SleepThen(d Time, k func()) {
-	if !p.step {
-		p.Sleep(d)
-		k()
-		return
-	}
 	if d < 0 {
 		p.negativeSleep(d)
 	}
-	p.cont = k
+	p.ParkThen(k)
 	p.sim.scheduleResume(p, p.sim.now+d)
 }
 
-// ParkThen is Park in continuation form: k runs once p is woken. A
-// step process returns at once; a process with a body parks and then
-// calls k before returning.
+// ParkThen is Park in continuation form: it returns at once, and k
+// runs once p is woken. A wait started with one pending would lose the
+// first one's continuation, so it panics, except while Close unwinds.
 //
 //simvet:hot
 func (p *Proc) ParkThen(k func()) {
-	if !p.step {
-		p.Park()
-		k()
-		return
+	if p.cont != nil && !p.sim.closing {
+		panic("sim: " + p.name + " started a wait with one pending")
 	}
 	p.cont = k
 }

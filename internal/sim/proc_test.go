@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 
 	"memhogs/internal/leakcheck"
@@ -266,7 +269,10 @@ func contend(t *testing.T, kind string) []string {
 				logf(p, "woken", 0)
 			})
 		case "then-body":
-			s.Spawn(name, func(p *Proc) { thenScript(p, i) })
+			s.Spawn(name, func(p *Proc) {
+				thenScript(p, i)
+				p.Await()
+			})
 		case "step":
 			var p *Proc
 			p = s.SpawnStep(name, func() { thenScript(p, i) })
@@ -278,8 +284,8 @@ func contend(t *testing.T, kind string) []string {
 }
 
 // TestStepProcsMatchBodies: the continuation forms on step processes,
-// the continuation forms on processes with a body, and the blocking
-// forms produce the same schedule.
+// the continuation forms awaited by a process with a body, and the
+// blocking forms produce the same schedule.
 func TestStepProcsMatchBodies(t *testing.T) {
 	want := contend(t, "body")
 	if len(want) != 13 {
@@ -305,5 +311,43 @@ func TestStepProcResumedWithoutContinuationPanics(t *testing.T) {
 	}()
 	if want := "sim: step process w resumed with no continuation"; got != want {
 		t.Fatalf("Run panicked with %v, want %q", got, want)
+	}
+}
+
+// TestSecondWaitPanics: a wait started while one is pending would
+// overwrite its continuation, so it panics.
+func TestSecondWaitPanics(t *testing.T) {
+	s := New()
+	var p *Proc
+	p = s.SpawnStep("w", func() {
+		p.SleepThen(Millisecond, resumed)
+		p.ParkThen(resumed)
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run(0)
+		return nil
+	}()
+	if want := "sim: w started a wait with one pending"; got != want {
+		t.Fatalf("Run panicked with %v, want %q", got, want)
+	}
+}
+
+// TestFinishWithWaitPendingPanics: a body that starts a wait in
+// continuation form and returns without Await would lose the
+// continuation, so its goroutine panics. The panic ends the process,
+// so the body runs in a child test binary.
+func TestFinishWithWaitPendingPanics(t *testing.T) {
+	if os.Getenv("SIM_LOST_WAIT_CHILD") == "1" {
+		s := New()
+		s.Spawn("lost", func(p *Proc) { p.SleepThen(Millisecond, resumed) })
+		s.Run(0)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFinishWithWaitPendingPanics$")
+	cmd.Env = append(os.Environ(), "SIM_LOST_WAIT_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if want := "panic: sim: lost finished with a wait pending"; err == nil || !strings.Contains(string(out), want) {
+		t.Fatalf("child exited with %v, want a crash with %q; output:\n%s", err, want, out)
 	}
 }

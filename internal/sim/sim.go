@@ -21,16 +21,18 @@
 //
 // The rest of the system is built from three primitives defined here:
 // timed events, parkable processes, and wait queues (from which locks
-// and semaphores are derived). Only the hogs (the processes running
-// workload code) have a body and a goroutine, so a run with one hog
-// makes no goroutine switch between its start and its end. Disks are
+// and semaphores are derived). Every wait starts through a
+// continuation form (see Proc). Only the hogs (the processes running
+// workload code) have a body and a goroutine, which waits out its
+// continuations with Proc.Await, so a run with one hog makes no
+// goroutine switch between its start and its end. Disks are
 // event-driven servers, chains of timed callbacks with no process of
 // their own, and the system daemons and the run-time layer's workers
 // are step processes (SpawnStep), whose resumptions run continuations
 // inline, because a page-in, a page-out, a prefetch or a daemon's
 // per-page CPU charge would otherwise cost goroutine switches. An event
 // callback, a step included, runs with no current process and must not
-// block one.
+// await.
 package sim
 
 import (

@@ -15,8 +15,8 @@ func NewWaitq(name string) *Waitq { return &Waitq{name: name} }
 // Wait parks p on the queue until a waker releases it. Wake order is
 // FIFO.
 func (q *Waitq) Wait(p *Proc) {
-	q.procs = append(q.procs, p)
-	p.Park()
+	q.WaitThen(p, resumed)
+	p.Await()
 }
 
 // WaitThen is Wait in continuation form (see Proc.ParkThen): k runs
@@ -81,10 +81,10 @@ func (l *Lock) Name() string { return l.name }
 // waiting (zero when uncontended).
 func (l *Lock) Acquire(p *Proc) Time {
 	start := p.Now()
-	if l.enter(p) {
+	if l.AcquireThen(p, resumed) {
 		return 0
 	}
-	p.Park()
+	p.Await()
 	return l.Handed(p, start)
 }
 
@@ -177,8 +177,8 @@ func NewSem(name string, n int) *Sem { return &Sem{name: name, tokens: n} }
 // returns the time spent waiting.
 func (m *Sem) Acquire(p *Proc) Time {
 	start := p.Now()
-	if !m.enter(p) {
-		p.Park() // Release hands the token over directly
+	if !m.AcquireThen(p, resumed) {
+		p.Await() // Release hands the token over directly
 	}
 	return p.Now() - start
 }

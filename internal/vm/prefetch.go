@@ -71,8 +71,9 @@ func (as *AS) NewPrefetcher(x Exec, done func()) *Prefetcher {
 // Prefetch runs one prefetch of vpn to completion on x's process,
 // which must have a body (a step process uses a Prefetcher).
 func (as *AS) Prefetch(x Exec, vpn int) PrefetchResult {
-	pf := as.NewPrefetcher(x, func() {})
+	pf := as.NewPrefetcher(x, nop)
 	pf.Start(vpn)
+	pf.p.Await()
 	return pf.Result()
 }
 

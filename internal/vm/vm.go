@@ -67,13 +67,10 @@ func (b Bucket) String() string {
 type Exec interface {
 	// Proc returns the simulated process to block on.
 	Proc() *sim.Proc
-	// System consumes d of CPU time in system mode (contending for a
-	// CPU with everyone else).
-	System(d sim.Time)
-	// SystemThen is System in continuation form (see
-	// sim.Proc.SleepThen): k runs once the charge is done. On a step
-	// process it returns at once; on a process with a body it charges
-	// and then calls k before returning.
+	// SystemThen consumes d of CPU time in system mode (contending
+	// for a CPU with everyone else) in continuation form (see
+	// sim.Proc.SleepThen): k runs once the charge is done. A body
+	// awaits it (sim.Proc.Await).
 	SystemThen(d sim.Time, k func())
 	// Account attributes d of elapsed stall time to bucket b.
 	Account(b Bucket, d sim.Time)
@@ -495,7 +492,7 @@ func (as *AS) fault(x Exec, vpn int, write bool) Outcome {
 			daemonCaused = 1
 		}
 		as.Events.Emit(events.FaultSoft, as.name, "", vpn, daemonCaused, 0)
-		x.System(as.params.SoftFaultTime)
+		as.charge(x, as.params.SoftFaultTime)
 		as.setValid(pte, vpn, true)
 		pte.Why = InvalidNone
 		if as.watcher != nil {
@@ -507,7 +504,7 @@ func (as *AS) fault(x Exec, vpn int, write bool) Outcome {
 		outcome = FarFault
 		as.Stats.FarFaults++
 		as.Events.Emit(events.FaultFar, as.name, "", vpn, 0, 0)
-		x.System(as.params.FarCPU)
+		as.charge(x, as.params.FarCPU)
 		dirty := as.takeFromFar(pte, vpn)
 		as.Memlock.Release(p)
 		frame, memWait := as.phys.Alloc(p, as, vpn)
@@ -517,7 +514,7 @@ func (as *AS) fault(x Exec, vpn int, write bool) Outcome {
 		// The old frame is still on the free list: rescue it.
 		outcome = RescueFault
 		as.countRescue(vpn, viaFault)
-		x.System(as.params.RescueTime)
+		as.charge(x, as.params.RescueTime)
 		if !as.rescued(pte, vpn, viaFault) {
 			// The frame was reallocated during the charge: retry
 			// from scratch, which takes the hard-fault path.
@@ -531,7 +528,7 @@ func (as *AS) fault(x Exec, vpn int, write bool) Outcome {
 		outcome = HardFault
 		as.Stats.HardFaults++
 		as.Events.Emit(events.FaultHard, as.name, "", vpn, 0, 0)
-		x.System(as.params.HardFaultCPU)
+		as.charge(x, as.params.HardFaultCPU)
 		as.beginPageIn(pte, vpn)
 		// Swap-in clustering: start asynchronous reads for the
 		// following pages while we still hold the lock.
@@ -569,6 +566,17 @@ const (
 	viaAsync    int64 = 1
 	viaPrefetch int64 = 2
 )
+
+// charge is the demand fault's CPU charge: d of system time, awaited.
+//
+//simvet:hot
+func (as *AS) charge(x Exec, d sim.Time) {
+	x.SystemThen(d, nop)
+	x.Proc().Await()
+}
+
+// nop is the continuation of a wait a body awaits.
+func nop() {}
 
 // lock takes Memlock, accounting the wait as a lock stall.
 func (as *AS) lock(x Exec) {

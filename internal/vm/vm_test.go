@@ -15,15 +15,11 @@ type testExec struct {
 	times [NumBuckets]sim.Time
 }
 
-func (e *testExec) Proc() *sim.Proc { return e.proc }
-func (e *testExec) System(d sim.Time) {
-	e.proc.Sleep(d)
-	e.times[BucketSystem] += d
-}
+func (e *testExec) Proc() *sim.Proc              { return e.proc }
 func (e *testExec) Account(b Bucket, d sim.Time) { e.times[b] += d }
 func (e *testExec) SystemThen(d sim.Time, k func()) {
-	e.System(d)
-	k()
+	e.times[BucketSystem] += d
+	e.proc.SleepThen(d, k)
 }
 
 func testParams() Params {
